@@ -33,12 +33,6 @@
 //                                 (default 200000)
 //   PATHENUM_BENCH_UNSAT_QUERIES  unsat_flood batch size            (default
 //                                 1024, all cross-component → unsatisfiable)
-//   PATHENUM_BENCH_SHARD_COUNTS   comma list of shard counts for the sharded
-//                                 serving tier (default "2,4"; the skew and
-//                                 coldkeys workloads re-run query-at-a-time
-//                                 through a ShardRouter at each count,
-//                                 differentially checked against the
-//                                 unsharded query-at-a-time engine)
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -54,7 +48,6 @@
 #include "live/impact.h"
 #include "live/live_oracle.h"
 #include "live/snapshot.h"
-#include "shard/router.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -708,130 +701,6 @@ int main() {
     measurements.push_back(on_m);
   }
 
-  // --- Sharded serving tier (DESIGN.md §14). -----------------------------
-  // The skew and coldkeys workloads re-run query-at-a-time through a
-  // ShardRouter at each shard count, against a query-at-a-time unsharded
-  // engine. The router serves one query per Run call, so the baseline must
-  // too — the batch rows above are a different serving shape and are not
-  // the comparison. Every sharded result total is differentially checked
-  // against the unsharded total; a mismatch lands in its own JSON field
-  // (must stay true), never folded into an average.
-  const char* shards_env = std::getenv("PATHENUM_BENCH_SHARD_COUNTS");
-  std::vector<uint32_t> shard_counts;
-  {
-    std::istringstream ss(shards_env != nullptr ? shards_env : "2,4");
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      const long s = std::atol(item.c_str());
-      if (s > 0) shard_counts.push_back(static_cast<uint32_t>(s));
-    }
-  }
-  struct ShardedRow {
-    uint32_t shards = 0;
-    size_t cut_edges = 0;
-    double skew_ms = 0.0;
-    uint64_t skew_results = 0;
-    double cold_ms = 0.0;
-    uint64_t cold_results = 0;
-    uint64_t delegated = 0;
-    uint64_t stitched = 0;
-    uint64_t frames = 0;
-    bool match = true;
-  };
-  std::vector<ShardedRow> sharded_rows;
-  double sharded_skew_base_ms = 0.0, sharded_cold_base_ms = 0.0;
-  uint64_t sharded_skew_base_results = 0, sharded_cold_base_results = 0;
-  bool sharded_match = true;
-  {
-    EnumOptions shard_cold_opts = opts;
-    shard_cold_opts.result_limit = cold_limit;
-
-    QueryEngine base(g, {.num_workers = cw, .enable_cache = true});
-    const auto serial_engine = [&](const std::vector<Query>& qs,
-                                   const EnumOptions& o,
-                                   uint64_t* results) -> double {
-      BatchOptions b;
-      b.query = o;
-      for (const Query& q : qs) {  // warm pass populates the cache
-        base.CountBatch(std::span<const Query>(&q, 1), b);
-      }
-      double wall_sum = 0.0;
-      for (int r = 0; r < reps; ++r) {
-        uint64_t total = 0;
-        Timer wall;
-        for (const Query& q : qs) {
-          total += base.CountBatch(std::span<const Query>(&q, 1), b)
-                       .TotalResults();
-        }
-        wall_sum += wall.ElapsedMs();
-        *results = total;
-      }
-      return wall_sum / reps;
-    };
-    sharded_skew_base_ms =
-        serial_engine(skewed, skew_opts, &sharded_skew_base_results);
-    measurements.push_back(Measure("sharded_skew_unsharded", cw, true,
-                                   skewed.size(), sharded_skew_base_ms,
-                                   sharded_skew_base_results));
-    if (!cold_queries.empty()) {
-      sharded_cold_base_ms = serial_engine(cold_queries, shard_cold_opts,
-                                           &sharded_cold_base_results);
-      measurements.push_back(Measure("sharded_cold_unsharded", cw, true,
-                                     cold_queries.size(), sharded_cold_base_ms,
-                                     sharded_cold_base_results));
-    }
-
-    for (const uint32_t nshards : shard_counts) {
-      RouterOptions ropts;
-      ropts.partition.num_shards = nshards;
-      ropts.shard.engine.num_workers = cw;
-      ShardRouter router(g, ropts);
-      const auto serial_router = [&](const std::vector<Query>& qs,
-                                     const EnumOptions& o,
-                                     uint64_t* results) -> double {
-        for (const Query& q : qs) {  // warm pass: per-shard caches populate
-          CountingSink sink;
-          router.Run(q, sink, o);
-        }
-        double wall_sum = 0.0;
-        for (int r = 0; r < reps; ++r) {
-          uint64_t total = 0;
-          Timer wall;
-          for (const Query& q : qs) {
-            CountingSink sink;
-            total += router.Run(q, sink, o).stats.counters.num_results;
-          }
-          wall_sum += wall.ElapsedMs();
-          *results = total;
-        }
-        return wall_sum / reps;
-      };
-      ShardedRow row;
-      row.shards = nshards;
-      row.cut_edges = router.cut_size();
-      row.skew_ms = serial_router(skewed, skew_opts, &row.skew_results);
-      measurements.push_back(
-          Measure("sharded_skew_" + std::to_string(nshards), cw, true,
-                  skewed.size(), row.skew_ms, row.skew_results));
-      if (!cold_queries.empty()) {
-        row.cold_ms =
-            serial_router(cold_queries, shard_cold_opts, &row.cold_results);
-        measurements.push_back(
-            Measure("sharded_cold_" + std::to_string(nshards), cw, true,
-                    cold_queries.size(), row.cold_ms, row.cold_results));
-      }
-      const ShardRouter::Stats rs = router.stats();
-      row.delegated = rs.delegated;
-      row.stitched = rs.stitched;
-      row.frames = rs.frames_sent;
-      row.match = row.skew_results == sharded_skew_base_results &&
-                  (cold_queries.empty() ||
-                   row.cold_results == sharded_cold_base_results);
-      sharded_match = sharded_match && row.match;
-      sharded_rows.push_back(row);
-    }
-  }
-
   const double naive_qps = measurements[0].qps;
   std::printf("\n%-18s %-10s %-8s %-6s %12s %12s %14s\n", "config",
               "workers", "queries", "warm", "wall ms", "queries/s",
@@ -928,19 +797,6 @@ int main() {
               unsat_reject_rate * 100.0,
               static_cast<unsigned long long>(unsat_wrong_rejections));
 
-  for (const ShardedRow& row : sharded_rows) {
-    std::printf("  [sharded] %u shards: skew %.2f ms vs %.2f ms unsharded "
-                "(%.2fx), cold %.2f ms vs %.2f ms; %zu cut edges, %llu "
-                "delegated / %llu stitched (%llu frames), differential %s\n",
-                row.shards, row.skew_ms, sharded_skew_base_ms,
-                row.skew_ms > 0.0 ? sharded_skew_base_ms / row.skew_ms : 0.0,
-                row.cold_ms, sharded_cold_base_ms, row.cut_edges,
-                static_cast<unsigned long long>(row.delegated),
-                static_cast<unsigned long long>(row.stitched),
-                static_cast<unsigned long long>(row.frames),
-                row.match ? "match" : "MISMATCH");
-  }
-
   // Machine metadata: the ROADMAP's single-core caveat, machine-checkable.
   // `workers_post_clamp` is what the engine actually ran per requested
   // count (it clamps to hardware_concurrency); the caveat flag is set when
@@ -1016,27 +872,6 @@ int main() {
         << ", \"rejection_speedup\": " << unsat_speedup
         << ", \"reject_rate\": " << unsat_reject_rate
         << ", \"wrong_rejections\": " << unsat_wrong_rejections << "},\n"
-        << "  \"sharded\": {\"skew_queries\": " << skewed.size()
-        << ", \"cold_queries\": " << cold_queries.size()
-        << ", \"skew_unsharded_ms\": " << sharded_skew_base_ms
-        << ", \"cold_unsharded_ms\": " << sharded_cold_base_ms
-        << ", \"differential_match\": "
-        << (sharded_match ? "true" : "false") << ", \"configs\": [";
-    for (size_t i = 0; i < sharded_rows.size(); ++i) {
-      const ShardedRow& row = sharded_rows[i];
-      out << (i ? ", " : "") << "{\"shards\": " << row.shards
-          << ", \"cut_edges\": " << row.cut_edges
-          << ", \"skew_ms\": " << row.skew_ms
-          << ", \"skew_results\": " << row.skew_results
-          << ", \"cold_ms\": " << row.cold_ms
-          << ", \"cold_results\": " << row.cold_results
-          << ", \"delegated\": " << row.delegated
-          << ", \"stitched\": " << row.stitched
-          << ", \"frames_sent\": " << row.frames
-          << ", \"differential_match\": "
-          << (row.match ? "true" : "false") << "}";
-    }
-    out << "]},\n"
         << "  \"measurements\": [\n";
     for (size_t i = 0; i < measurements.size(); ++i) {
       const Measurement& m = measurements[i];
@@ -1081,10 +916,6 @@ int main() {
       "count's share on a multi-core host (ties on a single core). "
       "unsat_flood_on should reject the all-unsatisfiable flood >= 50x "
       "faster than unsat_flood_off pays per-query builds for it, with "
-      "wrong_rejections exactly 0 (the differential check). The sharded "
-      "rows must report differential_match true at every shard count; "
-      "sharded_skew_N sits near sharded_skew_unsharded when most hot keys "
-      "delegate (plan BFS overhead only) and pays stitching transport cost "
-      "in proportion to the feasible cut.");
+      "wrong_rejections exactly 0 (the differential check).");
   return 0;
 }

@@ -11,9 +11,13 @@
 //       instantiate a catalog dataset (up, db, gg, ..., tm) as an edge list
 //   pathenum_cli stats <edge-list>
 //       print graph statistics and degree percentiles
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "core/parallel_dfs.h"
 #include "core/path_enum.h"
@@ -36,6 +40,26 @@ int Usage() {
   return 2;
 }
 
+// Parses all of `text` as a non-negative number. Unlike std::sto*, a
+// leading '-' (which those wrap), trailing junk, NaN and inf are rejected,
+// as is a value that overflows T. On failure, names the bad argument on
+// stderr; the caller then exits with the usage code.
+template <typename T>
+bool ParseNumber(std::string_view text, const char* what, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.starts_with('-') && ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::cerr << "invalid " << what << ": '" << text
+              << "' (expected a non-negative number in range)\n";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
   const std::string prefix = std::string("--") + name + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
@@ -45,11 +69,12 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
 
 int RunQuery(int argc, char** argv) {
   if (argc < 6) return Usage();
-  const Graph graph = LoadEdgeList(argv[2]);
   Query query;
-  query.source = static_cast<VertexId>(std::stoul(argv[3]));
-  query.target = static_cast<VertexId>(std::stoul(argv[4]));
-  query.hops = static_cast<uint32_t>(std::stoul(argv[5]));
+  if (!ParseNumber(argv[3], "source", &query.source) ||
+      !ParseNumber(argv[4], "target", &query.target) ||
+      !ParseNumber(argv[5], "hop constraint", &query.hops)) {
+    return 2;
+  }
 
   EnumOptions opts;
   size_t print_count = 5;
@@ -67,19 +92,20 @@ int RunQuery(int argc, char** argv) {
         return 2;
       }
     } else if (ParseFlag(arg, "limit", &value)) {
-      opts.result_limit = std::stoull(value);
+      if (!ParseNumber(value, "--limit", &opts.result_limit)) return 2;
     } else if (ParseFlag(arg, "time-ms", &value)) {
-      opts.time_limit_ms = std::stod(value);
+      if (!ParseNumber(value, "--time-ms", &opts.time_limit_ms)) return 2;
     } else if (ParseFlag(arg, "print", &value)) {
-      print_count = std::stoull(value);
+      if (!ParseNumber(value, "--print", &print_count)) return 2;
     } else if (ParseFlag(arg, "threads", &value)) {
-      threads = static_cast<uint32_t>(std::stoul(value));
+      if (!ParseNumber(value, "--threads", &threads)) return 2;
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       return 2;
     }
   }
 
+  const Graph graph = LoadEdgeList(argv[2]);
   PathEnumerator enumerator(graph);
   CollectingSink sink(std::max<size_t>(print_count, 1));
 
@@ -121,7 +147,9 @@ int RunQuery(int argc, char** argv) {
 
 int RunGenerate(int argc, char** argv) {
   if (argc != 5) return Usage();
-  const Graph g = MakeDataset(argv[2], std::stod(argv[3]));
+  double scale = 0.0;  // 0 means PATHENUM_SCALE, else 1.0 (MakeDataset)
+  if (!ParseNumber(argv[3], "scale", &scale)) return 2;
+  const Graph g = MakeDataset(argv[2], scale);
   SaveEdgeList(g, argv[4]);
   std::cout << "wrote " << argv[4] << ": " << g.num_vertices()
             << " vertices, " << g.num_edges() << " edges\n";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "util/fault_injection.h"
 
@@ -66,7 +65,7 @@ EnumCounters JoinEnumerator::Run(const LightweightIndex& index, uint32_t cut,
     is_key_ = {is_key_store_.data(), n};
     group_ = {group_store_.data(), n};
   }
-  std::memset(is_key_.data(), 0, is_key_.size());
+  std::fill(is_key_.begin(), is_key_.end(), uint8_t{0});
   std::fill(group_.begin(), group_.end(), GroupRange{});
 
   const uint32_t s_slot = index.source_slot();

@@ -137,9 +137,8 @@ IndexCache::Shard& IndexCache::ShardFor(const CacheKey& key) const {
 }
 
 std::shared_ptr<const LightweightIndex> IndexCache::GetOrBuild(
-    const CacheKey& raw_key, const std::function<LightweightIndex()>& build,
+    const CacheKey& key, const std::function<LightweightIndex()>& build,
     bool* was_hit, uint64_t view_version) {
-  const CacheKey key = SaltedKey(raw_key);
   Shard& shard = ShardFor(key);
   std::shared_ptr<Shard::Inflight> inflight;
   {
@@ -272,8 +271,7 @@ std::shared_ptr<const LightweightIndex> IndexCache::GetOrBuild(
 }
 
 std::shared_ptr<const LightweightIndex> IndexCache::PeekIndex(
-    const CacheKey& raw_key, uint64_t view_version) const {
-  const CacheKey key = SaltedKey(raw_key);
+    const CacheKey& key, uint64_t view_version) const {
   const Shard& shard = ShardFor(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.map.find(key);
@@ -291,8 +289,7 @@ bool IndexCache::ResultExpired(
 }
 
 std::shared_ptr<const CachedResultSet> IndexCache::GetResult(
-    const CacheKey& raw_key, uint64_t view_version) {
-  const CacheKey key = SaltedKey(raw_key);
+    const CacheKey& key, uint64_t view_version) {
   Shard& shard = ShardFor(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.result_map.find(key);
@@ -316,9 +313,7 @@ std::shared_ptr<const CachedResultSet> IndexCache::GetResult(
   return it->second->result;
 }
 
-bool IndexCache::HasResult(const CacheKey& raw_key,
-                           uint64_t view_version) const {
-  const CacheKey key = SaltedKey(raw_key);
+bool IndexCache::HasResult(const CacheKey& key, uint64_t view_version) const {
   const Shard& shard = ShardFor(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.result_map.find(key);
@@ -327,10 +322,9 @@ bool IndexCache::HasResult(const CacheKey& raw_key,
          !ResultExpired(it->second->inserted_at);
 }
 
-bool IndexCache::PutResult(const CacheKey& raw_key,
+bool IndexCache::PutResult(const CacheKey& key,
                            std::shared_ptr<const CachedResultSet> result,
                            uint64_t view_version) {
-  const CacheKey key = SaltedKey(raw_key);
   const size_t bytes = result->MemoryBytes() + kEntryOverheadBytes;
   if (opts_.max_result_bytes == 0 || bytes > opts_.max_result_entry_bytes) {
     result_rejects_.Inc();

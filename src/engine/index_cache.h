@@ -106,16 +106,6 @@ struct IndexCacheOptions {
   /// on lookup. 0 disables aging. Complements BeginEpoch invalidation for
   /// deployments that prefer bounded staleness over precise tracking.
   double result_ttl_ms = 0.0;
-  /// Instance salt mixed into every key's fingerprint at the public entry
-  /// points (DESIGN.md §14): two caches serving different graph shards in
-  /// one process — or the same shard id across repartitions — can never
-  /// alias (s, t, k, options) keys, even if their entries ever meet in a
-  /// shared store (a future socket backend's remote cache tier). 0 keeps
-  /// keys unsalted (the single-engine default). Distinct salts map any
-  /// fingerprint to distinct salted fingerprints (the mix is injective in
-  /// the salt for a fixed fingerprint, and bijective in the fingerprint
-  /// for a fixed salt).
-  uint64_t key_salt = 0;
 };
 
 /// Counter snapshot (monotonic except the byte gauges).
@@ -262,24 +252,8 @@ class IndexCache {
   IndexCacheStats Stats() const;
   const IndexCacheOptions& options() const { return opts_; }
 
-  /// The salted form of `key` under `salt` (identity for salt 0): the
-  /// fingerprint is XOR-mixed with an odd-multiplier hash of the salt, so
-  /// the map fingerprint -> salted fingerprint is a bijection per salt and
-  /// distinct salts never collide on the same fingerprint. Exposed so the
-  /// shard tests can assert the no-aliasing property directly.
-  static CacheKey SaltedKey(const CacheKey& key, uint64_t salt) {
-    if (salt == 0) return key;
-    CacheKey k = key;
-    k.fingerprint ^= salt * 0x9e3779b97f4a7c15ULL;
-    return k;
-  }
-
  private:
   struct Shard;
-
-  CacheKey SaltedKey(const CacheKey& key) const {
-    return SaltedKey(key, opts_.key_salt);
-  }
 
   Shard& ShardFor(const CacheKey& key) const;
 
