@@ -6,7 +6,8 @@
 //       --limit=N                stop after N results
 //       --time-ms=T              per-query time budget
 //       --print=N                print the first N paths (default 5)
-//       --threads=N              use the parallel enumerator with N threads
+//       --threads=N              use the parallel IDX-DFS with N threads
+//                                (not with --method=join)
 //   pathenum_cli generate <dataset> <scale> <out-file>
 //       instantiate a catalog dataset (up, db, gg, ..., tm) as an edge list
 //   pathenum_cli stats <edge-list>
@@ -60,6 +61,12 @@ bool ParseNumber(std::string_view text, const char* what, T* out) {
   return true;
 }
 
+// The notes both query paths print when the run stopped early.
+void PrintStopNotes(const EnumCounters& counters) {
+  if (counters.timed_out) std::cout << "(stopped at time limit)\n";
+  if (counters.hit_result_limit) std::cout << "(stopped at result limit)\n";
+}
+
 bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
   const std::string prefix = std::string("--") + name + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
@@ -104,21 +111,33 @@ int RunQuery(int argc, char** argv) {
       return 2;
     }
   }
+  if (threads > 0 && opts.method == Method::kJoin) {
+    std::cerr << "--threads runs the parallel IDX-DFS; it cannot be combined "
+                 "with --method=join\n";
+    return 2;
+  }
 
   const Graph graph = LoadEdgeList(argv[2]);
   PathEnumerator enumerator(graph);
   CollectingSink sink(std::max<size_t>(print_count, 1));
 
   if (threads > 0) {
-    // Parallel counting path: per-thread sinks; keep the first few paths
-    // from one shard for display.
-    IndexBuilder builder;
-    const LightweightIndex index = builder.Build(graph, query);
-    ParallelDfsEnumerator parallel(index, threads);
-    const ParallelEnumResult result = parallel.CountAll(opts);
+    // Parallel counting path. The build gets the same options (and so the
+    // same --time-ms budget) as the serial DFS path.
+    opts.method = Method::kDfs;
+    const LightweightIndex index = enumerator.BuildIndex(
+        query, PathEnumerator::BuildOptionsFor(query, opts));
+    ParallelEnumResult result;
+    if (index.build_stats().interrupted) {
+      result.counters.timed_out = true;  // the build used up --time-ms
+    } else {
+      result = ParallelDfsEnumerator(index, threads).CountAll(opts);
+    }
     std::cout << result.counters.num_results << " paths ("
-              << result.threads_used << " threads, " << result.wall_ms
-              << " ms)\n";
+              << result.threads_used << " threads, index "
+              << index.build_stats().total_ms << " ms, enumerate "
+              << result.wall_ms << " ms)\n";
+    PrintStopNotes(result.counters);
     return 0;
   }
 
@@ -138,10 +157,7 @@ int RunQuery(int argc, char** argv) {
             << "; index " << stats.index_ms << " ms, optimize "
             << stats.optimize_ms << " ms, enumerate " << stats.enumerate_ms
             << " ms)\n";
-  if (stats.counters.timed_out) std::cout << "(stopped at time limit)\n";
-  if (stats.counters.hit_result_limit) {
-    std::cout << "(stopped at result limit)\n";
-  }
+  PrintStopNotes(stats.counters);
   return 0;
 }
 

@@ -10,7 +10,6 @@
 
 #include "core/dfs_enumerator.h"
 #include "core/parallel_dfs.h"
-#include "graph/distance_oracle.h"
 #include "util/timer.h"
 
 namespace pathenum {
@@ -124,26 +123,21 @@ class FanoutSink : public PathSink {
   std::vector<uint64_t> delivered_;
 };
 
-/// One unit of batch work: a representative query plus the indices of its
-/// in-batch duplicates, with a scheduling priority (cache hits first).
-struct TaskGroup {
+}  // namespace
+
+/// A representative query plus the indices of its in-batch duplicates, with
+/// a scheduling priority (cache hits first).
+struct QueryEngine::TaskGroup {
   size_t rep = 0;
   std::vector<size_t> extra;
   uint32_t priority = 2;  // 0 result-cache hit, 1 index-cache hit, 2 miss
 };
 
-}  // namespace
-
-QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts,
-                         const PrunedLandmarkIndex* oracle)
-    : view_(view),
-      oracle_(oracle),
-      bound_oracle_(oracle),
-      oracle_base_uid_(view_.base().uid()),
-      pool_(opts.num_workers) {
+QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts)
+    : view_(view), pool_(opts.num_workers) {
   contexts_.reserve(pool_.num_workers());
   for (uint32_t w = 0; w < pool_.num_workers(); ++w) {
-    contexts_.push_back(std::make_unique<QueryContext>(view_, oracle));
+    contexts_.push_back(std::make_unique<QueryContext>(view_));
   }
   if (opts.enable_cache) {
     cache_ = std::make_unique<IndexCache>(opts.cache);
@@ -186,28 +180,17 @@ void QueryEngine::InvalidateCaches() {
   if (cache_ != nullptr) cache_->Clear(view_.version());
 }
 
-void QueryEngine::RebindGraph(const Graph& g,
-                              const PrunedLandmarkIndex* oracle) {
+void QueryEngine::RebindGraph(const Graph& g) {
   view_ = GraphView(g);
-  oracle_ = oracle;
-  bound_oracle_ = oracle;
-  oracle_base_uid_ = view_.base().uid();
   // A live oracle stays attached: its epochs are keyed on snapshot version
   // AND base identity, so against an unrelated graph it simply never
   // matches (no claims) until the engine returns to the oracle's stream.
   // Contexts hold graph references (BFS fields sized to |V|); rebuild them.
   contexts_.clear();
   for (uint32_t w = 0; w < pool_.num_workers(); ++w) {
-    contexts_.push_back(std::make_unique<QueryContext>(view_, oracle));
+    contexts_.push_back(std::make_unique<QueryContext>(view_));
   }
   InvalidateCaches();
-}
-
-bool QueryEngine::OracleRejectsQuery(const Query& q) const {
-  if (oracle_ != nullptr && !oracle_->Within(q.source, q.target, q.hops)) {
-    return true;
-  }
-  return live_epoch_.Rejects(q.source, q.target, q.hops);
 }
 
 uint32_t QueryEngine::ClampedWorkers(size_t tasks) const {
@@ -234,17 +217,8 @@ BatchResult QueryEngine::RunBatch(const GraphView& view,
         view.version() <= view_.version()) {
       cache_->Clear(view.version());
     }
-    // The oracle (consulted directly by RunSplit and by every context) is
-    // only valid for the exact base topology it was bound against — keyed
-    // by uid, so a different graph at the old base's address never re-arms
-    // it — with no overlay on top; it is restored when a later batch
-    // returns to that base.
-    oracle_ = (bound_oracle_ != nullptr &&
-               view.base().uid() == oracle_base_uid_ && !view.has_overlay())
-                  ? bound_oracle_
-                  : nullptr;
     view_ = view;
-    for (const auto& ctx : contexts_) ctx->Rebind(view_, oracle_);
+    for (const auto& ctx : contexts_) ctx->Rebind(view_);
   }
   return RunBatch(queries, sinks, opts);
 }
@@ -259,14 +233,6 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   result.errors.resize(queries.size());
   result.states.resize(queries.size(), QueryState::kOk);
   batches_run_.Inc();
-  // Pin the live-oracle epoch matching the bound snapshot, re-checked per
-  // batch so the engine keeps rejecting across rebinds and publishes. The
-  // ValidFor gate (exact version + base uid) turns every mismatch into
-  // "no claims" — a racing publish can never produce a wrong rejection.
-  live_epoch_ = live_oracle_ != nullptr
-                    ? live_oracle_->ForVersion(view_.version())
-                    : LiveDistanceOracle::EpochRef();
-  if (!live_epoch_.ValidFor(view_)) live_epoch_ = LiveDistanceOracle::EpochRef();
   IndexCache* cache =
       (opts.use_cache && cache_ != nullptr) ? cache_.get() : nullptr;
   if (cache != nullptr && view_.version() > cache->version()) {
@@ -280,19 +246,58 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
       cache != nullptr ? cache->Stats() : IndexCacheStats{};
   Timer wall;
 
+  // Split queries run one at a time, each into its own sink: never
+  // collapsed.
+  std::vector<TaskGroup> groups =
+      GroupQueries(queries, opts.dedup_identical && !opts.split_branches);
+
+  // The engine's one rejection gate, on this thread before any dispatch.
+  // Queries are untrusted input: an invalid one is rejected with a message
+  // and never reaches a worker. A group the live oracle certifies as
+  // dist(s,t) > k gets the complete empty result, every duplicate
+  // included, without an index build or a sink call. The epoch is pinned
+  // per batch, so rejection follows rebinds and publishes; the ValidFor
+  // gate (exact version + base uid) turns every mismatch into "no claims"
+  // — a racing publish can never produce a wrong rejection.
+  LiveDistanceOracle::EpochRef epoch =
+      live_oracle_ != nullptr ? live_oracle_->ForVersion(view_.version())
+                              : LiveDistanceOracle::EpochRef();
+  if (!epoch.ValidFor(view_)) epoch = LiveDistanceOracle::EpochRef();
+  std::erase_if(groups, [&](const TaskGroup& group) {
+    const Query& q = queries[group.rep];
+    const Status st = CheckQuery(view_, q);
+    const bool valid = st.ok();
+    if (valid && !epoch.Rejects(q.source, q.target, q.hops)) return false;
+    QueryStats shed;
+    shed.counters.oracle_rejected = valid;
+    const QueryState state =
+        valid ? QueryState::kUnsatisfiable : QueryState::kRejected;
+    if (valid) oracle_rejects_.Inc(1 + group.extra.size());
+    for (size_t m = 0; m <= group.extra.size(); ++m) {
+      const size_t qi = m == 0 ? group.rep : group.extra[m - 1];
+      result.stats[qi] = shed;
+      result.states[qi] = state;
+      if (!valid) result.errors[qi] = std::string(st.message());
+    }
+    // Spans keep their per-mode shape: a split query's span begins only
+    // once the query validated, a batch group's at admission.
+    if (valid || !opts.split_branches) {
+      obs::QuerySpan span;
+      span.Begin(q.source, q.target, q.hops);
+      if (opts.split_branches) span.SetSplit();
+      span.Mark(valid ? obs::SpanStage::kIndexAcquire
+                      : obs::SpanStage::kQueueWait);
+      span.Finish(state);
+    }
+    return true;
+  });
+
   if (opts.split_branches) {
     // Intra-query mode: the pool gangs up on one query at a time.
     const uint32_t active = ClampedWorkers(pool_.num_workers());
     result.workers = active;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      // Queries are untrusted input: an invalid one is rejected with a
-      // message, it never reaches the enumerator and never aborts.
-      const Status st = CheckQuery(view_, queries[i]);
-      if (!st.ok()) {
-        result.errors[i] = std::string(st.message());
-        result.states[i] = QueryState::kRejected;
-        continue;
-      }
+    for (const TaskGroup& group : groups) {
+      const size_t i = group.rep;
       try {
         result.stats[i] =
             RunSplit(queries[i], *sinks[i], opts.query, cache, active);
@@ -306,17 +311,40 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
       }
     }
   } else {
-    RunStealing(queries, sinks, opts, cache, result);
+    RunStealing(queries, sinks, opts, cache, groups, result);
   }
   result.wall_ms = wall.ElapsedMs();
   if (cache != nullptr) result.cache = cache->Stats() - before;
   return result;
 }
 
-template <typename GroupVec>
+std::vector<QueryEngine::TaskGroup> QueryEngine::GroupQueries(
+    std::span<const Query> queries, bool dedup) {
+  std::vector<TaskGroup> groups;
+  groups.reserve(queries.size());
+  if (!dedup) {
+    for (size_t i = 0; i < queries.size(); ++i) groups.push_back({i, {}, 2});
+    return groups;
+  }
+  std::unordered_map<CacheKey, size_t, CacheKeyHash> seen;
+  seen.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    const CacheKey key{q.source, q.target, q.hops, 0};
+    const auto [it, inserted] = seen.emplace(key, groups.size());
+    if (inserted) {
+      groups.push_back({i, {}, 2});
+    } else {
+      groups[it->second].extra.push_back(i);
+    }
+  }
+  return groups;
+}
+
 void QueryEngine::PrebuildMissing(std::span<const Query> queries,
                                   const BatchOptions& opts, IndexCache* cache,
-                                  GroupVec& groups, BatchResult& result) {
+                                  std::vector<TaskGroup>& groups,
+                                  BatchResult& result) {
   // Admission policies defer publication until a key has missed enough
   // times; a prebuilt slab would be refused and rebuilt solo, so batching
   // only makes sense with admit-everything caches.
@@ -351,15 +379,6 @@ void QueryEngine::PrebuildMissing(std::span<const Query> queries,
       for (size_t i = base; i < end; ++i) {
         reqs.push_back({queries[groups[members[i]].rep], nullptr,
                         Deadline::Unlimited()});
-        // Oracle lower bound > k collapses the member to an empty sweep
-        // (hop_cap 0): unsatisfiable queries previously paid a full
-        // prebuild that nothing would ever read. The empty slab is the
-        // TRUE complete index for the query at this version, so caching
-        // it is sound and future batches replay it like any other entry.
-        if (OracleRejectsQuery(reqs.back().query)) {
-          reqs.back().hop_cap = 0;
-          result.oracle_capped_builds++;
-        }
       }
       const IndexBuilder::Options build_opts =
           PathEnumerator::BuildOptionsFor(reqs.front().query, opts.query);
@@ -399,28 +418,8 @@ void QueryEngine::PrebuildMissing(std::span<const Query> queries,
 void QueryEngine::RunStealing(std::span<const Query> queries,
                               std::span<PathSink* const> sinks,
                               const BatchOptions& opts, IndexCache* cache,
+                              std::vector<TaskGroup>& groups,
                               BatchResult& result) {
-  // Collapse identical (s, t, k) queries into one task group each; the
-  // representative runs once and fans its paths out to every duplicate.
-  std::vector<TaskGroup> groups;
-  groups.reserve(queries.size());
-  if (opts.dedup_identical) {
-    std::unordered_map<CacheKey, size_t, CacheKeyHash> seen;
-    seen.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const Query& q = queries[i];
-      const CacheKey key{q.source, q.target, q.hops, 0};
-      const auto [it, inserted] = seen.emplace(key, groups.size());
-      if (inserted) {
-        groups.push_back({i, {}, 2});
-      } else {
-        groups[it->second].extra.push_back(i);
-      }
-    }
-  } else {
-    for (size_t i = 0; i < queries.size(); ++i) groups.push_back({i, {}, 2});
-  }
-
   // Cache-aware scheduling: replayable results first, then prebuilt
   // indexes, then misses — hits clear the queue fast and published builds
   // are available before any duplicate key is claimed again.
@@ -469,38 +468,8 @@ void QueryEngine::RunStealing(std::span<const Query> queries,
       const size_t rep = group.rep;
       obs::QuerySpan& span = spans[task];
       span.Mark(obs::SpanStage::kQueueWait);
-      // Per-query fault isolation: a rejected or failed query reports its
-      // error/state and the worker moves on; the context re-arms every
-      // limit per run.
-      const Status st = CheckQuery(view_, queries[rep]);
-      if (!st.ok()) {
-        result.errors[rep] = std::string(st.message());
-        result.states[rep] = QueryState::kRejected;
-        for (const size_t dup : group.extra) {
-          result.errors[dup] = result.errors[rep];
-          result.states[dup] = QueryState::kRejected;
-        }
-        span.Finish(QueryState::kRejected);
-        continue;
-      }
-      // Oracle shed: dist(s,t) > k is certified, so every duplicate gets
-      // the complete empty result without an index build or sink call —
-      // with the full observability contract (terminal span, per-query
-      // state, counters) a normal run would produce.
-      if (OracleRejectsQuery(queries[rep])) {
-        QueryStats rejected;
-        rejected.counters.oracle_rejected = true;
-        result.stats[rep] = rejected;
-        result.states[rep] = QueryState::kUnsatisfiable;
-        for (const size_t dup : group.extra) {
-          result.stats[dup] = rejected;
-          result.states[dup] = QueryState::kUnsatisfiable;
-        }
-        oracle_rejects_.Inc(1 + group.extra.size());
-        span.Mark(obs::SpanStage::kIndexAcquire);
-        span.Finish(QueryState::kUnsatisfiable);
-        continue;
-      }
+      // Per-query fault isolation: a failed query reports its error/state
+      // and the worker moves on; the context re-arms every limit per run.
       try {
         if (group.extra.empty()) {
           result.stats[rep] = ctx.RunCached(queries[rep], *sinks[rep],
@@ -567,24 +536,12 @@ BatchResult QueryEngine::CountBatch(std::span<const Query> queries,
 QueryStats QueryEngine::RunSplit(const Query& q, PathSink& sink,
                                  const EnumOptions& opts, IndexCache* cache,
                                  uint32_t active_workers) {
-  ValidateQuery(view_, q);
   QueryStats stats;
   Timer total;
-  // The span begins after validation (throws above never record) and is
-  // finished on every return path below.
+  // RunBatch validated q; the span is finished on every return path below.
   obs::QuerySpan span;
   span.Begin(q.source, q.target, q.hops);
   span.SetSplit();
-
-  if (OracleRejectsQuery(q)) {
-    stats.counters.oracle_rejected = true;
-    stats.total_ms = total.ElapsedMs();
-    stats.response_ms = stats.total_ms;
-    oracle_rejects_.Inc();
-    span.Mark(obs::SpanStage::kIndexAcquire);
-    span.Finish(stats.counters.TerminalState());
-    return stats;
-  }
 
   // Split mode builds with the same BuildOptionsFor-derived fingerprint
   // and plans with the same PlanExecution pipeline as the serial path, so

@@ -11,10 +11,13 @@
 // hub; a visit is pruned when the labels built so far already certify a
 // distance no larger than the tentative one.
 //
-// PathEnum uses the oracle for (a) O(|label|) rejection of queries with
-// d(s,t) > k before any per-query work, and (b) fast dist <= 3 checks in
-// workload generation. It complements — never replaces — the per-query
-// light-weight index, exactly as §7.5 envisions.
+// PathEnum uses the labeling (a) as the label store of LiveDistanceOracle
+// (live/live_oracle.h), through which the engines reject queries with
+// d(s,t) > k before any per-query work — query-time rejection always goes
+// through that live oracle, which keeps the claims sound under updates —
+// and (b) for fast dist <= 3 checks in workload generation. It complements
+// — never replaces — the per-query light-weight index, exactly as §7.5
+// envisions.
 #ifndef PATHENUM_GRAPH_DISTANCE_ORACLE_H_
 #define PATHENUM_GRAPH_DISTANCE_ORACLE_H_
 

@@ -147,6 +147,18 @@ void WireCancel(CancelToken& ticket_cancel, EnumOptions& opts) {
 
 QueryTicket AsyncEngine::Submit(const Query& q, PathSink& sink,
                                 const SubmitOptions& opts) {
+  return Admit(q, sink, opts, /*block_when_full=*/true, nullptr);
+}
+
+QueryTicket AsyncEngine::TrySubmit(const Query& q, PathSink& sink,
+                                   const SubmitOptions& opts,
+                                   double* retry_after_ms) {
+  return Admit(q, sink, opts, /*block_when_full=*/false, retry_after_ms);
+}
+
+QueryTicket AsyncEngine::Admit(const Query& q, PathSink& sink,
+                               const SubmitOptions& opts, bool block_when_full,
+                               double* retry_after_ms) {
   auto state = std::make_shared<QueryTicket::State>();
   Submission task;
   task.query = q;
@@ -159,95 +171,55 @@ QueryTicket AsyncEngine::Submit(const Query& q, PathSink& sink,
   bool unsat = false;
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (opts_.shed_policy == AsyncEngineOptions::ShedPolicy::kCancelOldest) {
-      if (!shutdown_ && queue_.size() >= opts_.max_queue) ShedOldestLocked();
-    } else {
+    for (;;) {
+      if (shutdown_) {
+        if (!block_when_full) {
+          queue_rejects_.Inc();
+          return QueryTicket();
+        }
+        Complete(*state, QueryStats{}, "engine is shut down",
+                 QueryState::kRejected);
+        return QueryTicket(std::move(state));
+      }
+      // The snapshot (and its oracle epoch) is captured while holding the
+      // queue lock so ticket version order is consistent with admission
+      // order; SubmitUpdate publishes outside this lock, so a submission
+      // observes either the old or the new snapshot — never a half-
+      // published one, and never an oracle epoch from a different version.
+      const SnapshotManager::Published pub = snapshots_.CurrentPublished();
+      task.snapshot = pub.snapshot;
+      state->snapshot_version = task.snapshot->version();
+      // The engine's one rejection gate, ahead of the full-queue policy:
+      // a certified-unsatisfiable submission never occupies a queue slot,
+      // so it can neither shed useful queued work nor wait for room.
+      if (pub.oracle.Rejects(q.source, q.target, q.hops)) {
+        oracle_rejects_.Inc();
+        unsat = true;
+        break;
+      }
+      if (queue_.size() < opts_.max_queue) break;
+      if (opts_.shed_policy == AsyncEngineOptions::ShedPolicy::kCancelOldest) {
+        ShedOldestLocked();  // make room; this submission is admitted
+        break;
+      }
+      if (!block_when_full) {
+        queue_rejects_.Inc();
+        if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterLockedMs();
+        return QueryTicket();
+      }
       queue_not_full_.wait(lock, [&] {
         return shutdown_ || queue_.size() < opts_.max_queue;
       });
+      // Room may come with a newer snapshot: capture it and gate again.
     }
-    if (shutdown_) {
-      Complete(*state, QueryStats{}, "engine is shut down",
-               QueryState::kRejected);
-      return QueryTicket(std::move(state));
-    }
-    // The snapshot (and its oracle epoch) is captured while holding the
-    // queue lock so ticket version order is consistent with admission
-    // order; SubmitUpdate publishes outside this lock, so a submission
-    // observes either the old or the new snapshot — never a half-published
-    // one, and never an oracle epoch from a different version.
-    const SnapshotManager::Published pub = snapshots_.CurrentPublished();
-    task.snapshot = pub.snapshot;
-    state->snapshot_version = task.snapshot->version();
     submitted_.Inc();
-    if (pub.oracle.Rejects(q.source, q.target, q.hops)) {
-      oracle_rejects_.Inc();
-      unsat = true;
-    } else {
-      queue_.push_back(std::move(task));
-    }
+    if (!unsat) queue_.push_back(std::move(task));
   }
   if (unsat) {
     CompleteUnsatisfiable(task);
-    return QueryTicket(std::move(state));
+  } else {
+    queue_not_empty_.notify_one();
   }
-  queue_not_empty_.notify_one();
-  return QueryTicket(std::move(state));
-}
-
-QueryTicket AsyncEngine::TrySubmit(const Query& q, PathSink& sink,
-                                   const SubmitOptions& opts,
-                                   double* retry_after_ms) {
-  auto state = std::make_shared<QueryTicket::State>();
-  Submission task;
-  task.query = q;
-  task.sink = &sink;
-  task.opts = opts.query;
-  task.split = opts.split_branches;
-  task.state = state;
-  WireCancel(state->cancel, task.opts);
-  task.span.Begin(q.source, q.target, q.hops);
-  bool unsat = false;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (shutdown_) {
-      queue_rejects_.Inc();
-      return QueryTicket();
-    }
-    // Oracle-certified-unsatisfiable submissions never occupy a queue slot,
-    // so they are checked before the full-queue shed/reject logic: an unsat
-    // flood cannot evict useful queued work under kCancelOldest.
-    const SnapshotManager::Published pub = snapshots_.CurrentPublished();
-    if (pub.oracle.Rejects(q.source, q.target, q.hops)) {
-      task.snapshot = pub.snapshot;
-      state->snapshot_version = task.snapshot->version();
-      submitted_.Inc();
-      oracle_rejects_.Inc();
-      unsat = true;
-    } else {
-      if (queue_.size() >= opts_.max_queue) {
-        if (opts_.shed_policy ==
-            AsyncEngineOptions::ShedPolicy::kCancelOldest) {
-          ShedOldestLocked();  // make room; this submission is admitted
-        } else {
-          queue_rejects_.Inc();
-          if (retry_after_ms != nullptr) {
-            *retry_after_ms = RetryAfterLockedMs();
-          }
-          return QueryTicket();
-        }
-      }
-      task.snapshot = pub.snapshot;
-      state->snapshot_version = task.snapshot->version();
-      queue_.push_back(std::move(task));
-      submitted_.Inc();
-    }
-  }
-  if (unsat) {
-    CompleteUnsatisfiable(task);
-    return QueryTicket(std::move(state));
-  }
-  queue_not_empty_.notify_one();
   return QueryTicket(std::move(state));
 }
 

@@ -181,8 +181,9 @@ class AsyncEngine {
 
   /// Enqueues `q` against the current snapshot; `sink` receives the paths
   /// from a worker thread and must outlive the query (use the ticket).
-  /// Blocks while the admission queue is full; returns an errored ticket
-  /// after Shutdown.
+  /// Blocks while the admission queue is full (kRejectNewest) unless the
+  /// oracle rejects the query first; returns an errored ticket after
+  /// Shutdown.
   QueryTicket Submit(const Query& q, PathSink& sink,
                      const EnumOptions& opts = {});
   QueryTicket Submit(const Query& q, PathSink& sink,
@@ -341,6 +342,16 @@ class AsyncEngine {
   /// Drains units of `job` on this worker's context and folds the
   /// counters in (leader and helpers share this path).
   static void DrainSplitUnits(SplitJob& job, QueryContext& ctx);
+
+  /// Shared admission for Submit and TrySubmit, which differ only in how
+  /// they refuse: under kRejectNewest a full queue makes Submit
+  /// (`block_when_full`) wait for room and TrySubmit return an invalid
+  /// ticket with a retry hint; after Shutdown, Submit returns an errored
+  /// ticket and TrySubmit an invalid one. Consults the live oracle before
+  /// the full-queue policy, so an unsatisfiable submission completes at
+  /// once and never sheds or waits.
+  QueryTicket Admit(const Query& q, PathSink& sink, const SubmitOptions& opts,
+                    bool block_when_full, double* retry_after_ms);
 
   /// Finishes `span` with `query_state` (recording metrics / trace), copies
   /// its record into the ticket state, and signals the waiters.

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include "core/path_enum.h"
+#include "engine/query_engine.h"
 #include "graph/bfs.h"
 #include "graph/distance_oracle.h"
 #include "graph/generators.h"
+#include "live/live_oracle.h"
 #include "test_util.h"
 #include "workload/query_gen.h"
 
@@ -86,20 +88,30 @@ TEST(DistanceOracleTest, RejectsOutOfRangeQuery) {
 // --- Integration with the enumerator and the workload generator ------------
 
 TEST(OracleIntegrationTest, FastRejectMatchesFullRun) {
+  // Query-time rejection goes through the live oracle's labels (here at
+  // version 0, the base graph itself): every rejected query must be one the
+  // full pipeline answers with nothing, and every other count must match.
   const Graph g = RMat(7, 500, 99);
-  const auto pll = PrunedLandmarkIndex::Build(g);
+  const LiveDistanceOracle oracle(g);
+  QueryEngine engine(g, {.num_workers = 2});
+  engine.SetLiveOracle(&oracle);
+  std::vector<Query> queries;
+  for (VertexId t = 1; t < 40; ++t) queries.push_back(Query{0, t, 4});
+  const BatchResult r = engine.CountBatch(queries);
+  ASSERT_TRUE(r.ok());
   PathEnumerator plain(g);
-  PathEnumerator with_oracle(g, &pll);
   int rejected = 0;
-  for (VertexId t = 1; t < 40; ++t) {
-    const Query q{0, t, 4};
-    CountingSink a, b;
-    plain.Run(q, a);
-    const QueryStats s = with_oracle.Run(q, b);
-    EXPECT_EQ(a.count(), b.count()) << "t=" << t;
-    if (a.count() == 0 && s.index_vertices == 0) ++rejected;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    CountingSink full;
+    plain.Run(queries[i], full);
+    EXPECT_EQ(full.count(), r.stats[i].counters.num_results) << "query " << i;
+    if (r.states[i] == QueryState::kUnsatisfiable) {
+      EXPECT_EQ(full.count(), 0u) << "query " << i << " wrongly rejected";
+      ++rejected;
+    }
   }
   EXPECT_GT(rejected, 0) << "expected at least one oracle-rejected query";
+  EXPECT_EQ(engine.Stats().oracle_rejects, static_cast<uint64_t>(rejected));
 }
 
 TEST(OracleIntegrationTest, QueryGenWithOracleMatchesBfsProbe) {
@@ -119,17 +131,6 @@ TEST(OracleIntegrationTest, QueryGenWithOracleMatchesBfsProbe) {
     EXPECT_EQ(plain[i].source, oracled[i].source);
     EXPECT_EQ(plain[i].target, oracled[i].target);
   }
-}
-
-TEST(OracleIntegrationTest, ConstrainedRunAlsoFastRejects) {
-  const Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  const auto pll = PrunedLandmarkIndex::Build(g);
-  PathEnumerator pe(g, &pll);
-  PathConstraints none;
-  CountingSink sink;
-  const QueryStats stats = pe.RunConstrained({0, 3, 6}, none, sink);
-  EXPECT_EQ(sink.count(), 0u);
-  EXPECT_EQ(stats.index_vertices, 0u);
 }
 
 }  // namespace

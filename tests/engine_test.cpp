@@ -458,7 +458,7 @@ TEST(PathEnumeratorTest, SequentialScratchStableAcrossRepeats) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle rejection in the sync engine: terminal-state reporting and
+// Live-oracle rejection in the sync engine: terminal-state reporting and
 // graph-identity (uid) keying across rebinds.
 // ---------------------------------------------------------------------------
 
@@ -472,12 +472,13 @@ Graph TwoComponentGraph() {
 
 TEST(EngineOracleTest, UnsatisfiableQueriesReportTerminalStateInAllModes) {
   const Graph g = TwoComponentGraph();
-  const PrunedLandmarkIndex labels = PrunedLandmarkIndex::Build(g);
+  const LiveDistanceOracle oracle(g);  // version 0: the base itself
   const Query unsat{0, 15, 6};   // cross-component
   const Query unsat_dup = unsat; // dedup group member
   const Query sat{0, 5, 6};
   for (const bool split : {false, true}) {
-    QueryEngine engine(g, {.num_workers = 2}, &labels);
+    QueryEngine engine(g, {.num_workers = 2});
+    engine.SetLiveOracle(&oracle);
     const std::vector<Query> queries{unsat, sat, unsat_dup};
     std::vector<CountingSink> sinks(queries.size());
     std::vector<PathSink*> sink_ptrs;
@@ -501,14 +502,16 @@ TEST(EngineOracleTest, UnsatisfiableQueriesReportTerminalStateInAllModes) {
 }
 
 TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
-  // Regression: the engine used to re-arm its bound oracle by comparing
-  // raw base-graph addresses across RunBatch(view) rebinds. Identity must
-  // follow Graph::uid — a copied Graph (same topology lineage, different
-  // address) keeps the oracle; an unrelated Graph (same shape, same
-  // version, possibly a recycled address) must not.
+  // Regression: oracle re-arming across RunBatch(view) rebinds used to
+  // compare raw base-graph addresses. Identity must follow Graph::uid, the
+  // key EpochRef::ValidFor checks alongside the version — a copied Graph
+  // (same topology lineage, different address) keeps the oracle; an
+  // unrelated Graph (same shape, same version, possibly a recycled
+  // address) must not.
   const Graph g = TwoComponentGraph();
-  const PrunedLandmarkIndex labels = PrunedLandmarkIndex::Build(g);
-  QueryEngine engine(g, {.num_workers = 1}, &labels);
+  const LiveDistanceOracle oracle(g);  // version 0: the base itself
+  QueryEngine engine(g, {.num_workers = 1});
+  engine.SetLiveOracle(&oracle);
   const std::vector<Query> queries{Query{0, 15, 6}};
   const auto run = [&](const GraphView& view) {
     std::vector<CountingSink> sinks(1);
@@ -535,8 +538,9 @@ TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
   EXPECT_EQ(on_unrelated.stats[0].counters.num_results, 0u);
   EXPECT_EQ(engine.Stats().oracle_rejects, 1u);  // unchanged
 
-  // An overlay over the original base invalidates the labels: disarmed for
-  // that batch (the inserted bridge must not be wrongly rejected) ...
+  // An overlay over the original base is a version the oracle never
+  // labelled: disarmed for that batch (the inserted bridge must not be
+  // wrongly rejected) ...
   const GraphView bridged =
       GraphView(g).Apply(GraphDelta{}.Insert(5, 15), 1);
   const BatchResult on_overlay = run(bridged);
@@ -553,8 +557,9 @@ TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
 
 TEST(EngineOracleTest, LiveOracleRejectionsMatchOracleOffUnderRebinds) {
   // Differential: one engine consults a LiveDistanceOracle across a churn
-  // of overlay rebinds, the other runs bare. Same per-query answers,
-  // always; the oracle only changes *how* unsatisfiable queries finish.
+  // of overlay rebinds, the other runs bare, in both scheduling modes.
+  // Same per-query result sets, always; the oracle only changes *how*
+  // unsatisfiable queries finish.
   Rng rng(321);
   const VertexId n = 20;
   const Graph base = ErdosRenyi(n, 30, /*seed=*/17);
@@ -586,26 +591,30 @@ TEST(EngineOracleTest, LiveOracleRejectionsMatchOracleOffUnderRebinds) {
     }
     mgr.Apply(delta);
     const SnapshotManager::Published pub = mgr.CurrentPublished();
-    std::vector<CountingSink> sinks_on(queries.size());
-    std::vector<CountingSink> sinks_off(queries.size());
-    std::vector<PathSink*> ptrs_on, ptrs_off;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ptrs_on.push_back(&sinks_on[i]);
-      ptrs_off.push_back(&sinks_off[i]);
-    }
-    const BatchResult r_on =
-        with_oracle.RunBatch(*pub.snapshot, queries, ptrs_on, {});
-    const BatchResult r_off =
-        without.RunBatch(*pub.snapshot, queries, ptrs_off, {});
-    ASSERT_TRUE(r_on.ok());
-    ASSERT_TRUE(r_off.ok());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(r_on.stats[i].counters.num_results,
-                r_off.stats[i].counters.num_results)
-          << "epoch " << epoch << " query " << i;
-      if (r_on.states[i] == QueryState::kUnsatisfiable) {
-        ASSERT_EQ(r_off.stats[i].counters.num_results, 0u)
-            << "epoch " << epoch << " query " << i << " wrongly rejected";
+    for (const bool split : {false, true}) {
+      std::vector<CollectingSink> sinks_on(queries.size());
+      std::vector<CollectingSink> sinks_off(queries.size());
+      std::vector<PathSink*> ptrs_on, ptrs_off;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        ptrs_on.push_back(&sinks_on[i]);
+        ptrs_off.push_back(&sinks_off[i]);
+      }
+      BatchOptions opts;
+      opts.split_branches = split;
+      const BatchResult r_on =
+          with_oracle.RunBatch(*pub.snapshot, queries, ptrs_on, opts);
+      const BatchResult r_off =
+          without.RunBatch(*pub.snapshot, queries, ptrs_off, opts);
+      ASSERT_TRUE(r_on.ok());
+      ASSERT_TRUE(r_off.ok());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(ToSet(sinks_on[i].paths()), ToSet(sinks_off[i].paths()))
+            << "epoch " << epoch << " query " << i << " split=" << split;
+        if (r_on.states[i] == QueryState::kUnsatisfiable) {
+          ASSERT_EQ(r_off.stats[i].counters.num_results, 0u)
+              << "epoch " << epoch << " query " << i << " split=" << split
+              << " wrongly rejected";
+        }
       }
     }
   }

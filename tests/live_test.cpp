@@ -15,7 +15,6 @@
 #include "core/reference.h"
 #include "engine/query_engine.h"
 #include "graph/bfs.h"
-#include "graph/distance_oracle.h"
 #include "graph/generators.h"
 #include "graph/view.h"
 #include "live/async_engine.h"
@@ -145,26 +144,36 @@ TEST(GraphViewTest, MaterializePreservesEdgeAttributes) {
 }
 
 TEST(EngineViewTest, OracleDroppedOnRebindToDifferentBase) {
-  // An engine bound with an oracle must not consult it after rebinding to
-  // a snapshot with a different base (e.g. a compacted live snapshot):
-  // a stale oracle would silently reject newly connected pairs.
+  // An engine with an oracle attached must not consult it after rebinding
+  // to a snapshot with a different base (e.g. a compacted live snapshot):
+  // a stale oracle would silently reject newly connected pairs. The
+  // compacted base fails EpochRef::ValidFor on its uid even at the version
+  // the oracle labelled, and a later version has no epoch at all.
   const Graph g1 = Graph::FromEdges(4, {{0, 1}, {2, 3}});  // 0 /-> 3
-  const PrunedLandmarkIndex oracle = PrunedLandmarkIndex::Build(g1);
-  QueryEngine engine(g1, {.num_workers = 1}, &oracle);
+  const LiveDistanceOracle oracle(g1);  // version 0: claims d(0, 3) = inf
+  QueryEngine engine(g1, {.num_workers = 1});
+  engine.SetLiveOracle(&oracle);
 
   // New base where 0 -> 3 is connected (as a compaction would produce).
-  const Graph g2 =
-      GraphView(g1).Apply(GraphDelta{}.Insert(1, 2), 1).Materialize();
-  const GraphView compacted(std::make_shared<const Graph>(g2), nullptr, 1);
-
+  const auto g2 = std::make_shared<const Graph>(
+      GraphView(g1).Apply(GraphDelta{}.Insert(1, 2), 1).Materialize());
   const std::vector<Query> queries{Query{0, 3, 3}};
-  std::vector<CountingSink> sinks(1);
-  std::vector<PathSink*> sink_ptrs{&sinks[0]};
-  BatchOptions split;
-  split.split_branches = true;  // the split path consults the engine oracle
-  const BatchResult r = engine.RunBatch(compacted, queries, sink_ptrs, split);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.stats[0].counters.num_results, 1u);
+  for (const uint64_t version : {uint64_t{0}, uint64_t{1}}) {
+    for (const bool split : {false, true}) {
+      const GraphView compacted(g2, nullptr, version);
+      std::vector<CountingSink> sinks(1);
+      std::vector<PathSink*> sink_ptrs{&sinks[0]};
+      BatchOptions opts;
+      opts.split_branches = split;
+      const BatchResult r = engine.RunBatch(compacted, queries, sink_ptrs, opts);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.states[0], QueryState::kOk)
+          << "version " << version << " split=" << split;
+      EXPECT_EQ(r.stats[0].counters.num_results, 1u)
+          << "version " << version << " split=" << split;
+    }
+  }
+  EXPECT_EQ(engine.Stats().oracle_rejects, 0u);
 }
 
 TEST(GraphViewTest, OverlaysComposeAcrossEpochs) {
@@ -839,33 +848,6 @@ TEST(LiveOracleTest, RandomizedChurnNeverWronglyRejects) {
   }
   EXPECT_GT(rejects, 0u);  // the stream must have exercised real claims
   EXPECT_GT(oracle.stats().relabels, 0u);
-}
-
-TEST(LiveOracleTest, StaticOracleOnOverlayViewDegradesGracefully) {
-  // Regression: constructing a PathEnumerator with a base-graph oracle on
-  // an overlay view used to abort via PATHENUM_CHECK. It must instead drop
-  // the oracle (whose claims the overlay invalidates) and run normally.
-  const Graph g = PathGraph(8);
-  const PrunedLandmarkIndex labels = PrunedLandmarkIndex::Build(g);
-  const GraphView v1 = GraphView(g).Apply(GraphDelta{}.Insert(0, 7), 1);
-#if PATHENUM_OBS
-  const uint64_t dropped_before = obs::MetricRegistry::Global()
-                                      .GetCounter("pathenum_oracle_dropped_total")
-                                      ->Value();
-#endif
-  PathEnumerator pe(v1, &labels);
-  CollectingSink sink;
-  const QueryStats stats = pe.Run(Query{0, 7, 1}, sink);
-  // The stale labels say dist(0, 7) = 7 > 1; keeping them would wrongly
-  // reject the one-hop path the overlay just inserted.
-  EXPECT_EQ(sink.paths().size(), 1u);
-  EXPECT_FALSE(stats.counters.oracle_rejected);
-#if PATHENUM_OBS
-  EXPECT_GT(obs::MetricRegistry::Global()
-                .GetCounter("pathenum_oracle_dropped_total")
-                ->Value(),
-            dropped_before);
-#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -535,6 +536,72 @@ TEST_F(RobustnessTest, CancelOldestShedEvictsQueuedTicket) {
   EXPECT_EQ(t3.state(), QueryState::kOk);
   EXPECT_GT(c3.count(), 0u);
   EXPECT_EQ(engine.stats().sheds, 1u);
+}
+
+// An oracle-certified-unsatisfiable submission never occupies a queue
+// slot, so the admission gate decides it before the full-queue policy: it
+// must neither shed a queued ticket (kCancelOldest) nor wait for room
+// (kRejectNewest). v7 dangles off v6, so no path reaches t from it.
+constexpr Query kUnsatisfiableQuery{testing::kV7, testing::kT, 6};
+
+TEST_F(RobustnessTest, UnsatisfiableSubmitNeverShedsQueuedTicket) {
+  AsyncEngineOptions eopts;
+  eopts.num_workers = 1;
+  eopts.max_queue = 1;
+  eopts.shed_policy = AsyncEngineOptions::ShedPolicy::kCancelOldest;
+  eopts.enable_oracle = true;
+  AsyncEngine engine(PaperExampleGraph(), eopts);
+
+  GateSink gate;
+  const QueryTicket t1 = engine.Submit(PaperExampleQuery(), gate);
+  gate.WaitStarted();
+  CountingSink c2, c3;
+  const QueryTicket t2 = engine.Submit(PaperExampleQuery(), c2);  // queued
+  const QueryTicket t3 = engine.Submit(kUnsatisfiableQuery, c3);  // full
+  t3.Wait();
+  EXPECT_EQ(t3.state(), QueryState::kUnsatisfiable);
+
+  gate.Release();
+  t2.Wait();
+  EXPECT_EQ(t2.state(), QueryState::kOk);
+  EXPECT_GT(c2.count(), 0u);
+  EXPECT_EQ(c3.count(), 0u);
+  EXPECT_EQ(engine.stats().sheds, 0u);
+  EXPECT_EQ(engine.stats().oracle_rejects, 1u);
+}
+
+TEST_F(RobustnessTest, UnsatisfiableSubmitNeverWaitsForQueueRoom) {
+  AsyncEngineOptions eopts;
+  eopts.num_workers = 1;
+  eopts.max_queue = 1;
+  eopts.shed_policy = AsyncEngineOptions::ShedPolicy::kRejectNewest;
+  eopts.enable_oracle = true;
+  AsyncEngine engine(PaperExampleGraph(), eopts);
+
+  GateSink gate;
+  const QueryTicket t1 = engine.Submit(PaperExampleQuery(), gate);
+  gate.WaitStarted();
+  CountingSink c2, c3;
+  const QueryTicket t2 = engine.Submit(PaperExampleQuery(), c2);  // queued
+  // Submit from another thread: a Submit that (wrongly) waits for room
+  // must fail the test, not hang it.
+  auto submitted = std::async(std::launch::async, [&] {
+    return engine.Submit(kUnsatisfiableQuery, c3);
+  });
+  const bool returned_while_full =
+      submitted.wait_for(std::chrono::seconds(10)) ==
+      std::future_status::ready;
+  gate.Release();
+  const QueryTicket t3 = submitted.get();
+  EXPECT_TRUE(returned_while_full)
+      << "unsatisfiable Submit waited for queue room";
+  t3.Wait();
+  EXPECT_EQ(t3.state(), QueryState::kUnsatisfiable);
+  EXPECT_EQ(c3.count(), 0u);
+
+  t2.Wait();
+  EXPECT_EQ(t2.state(), QueryState::kOk);
+  EXPECT_GT(c2.count(), 0u);
 }
 
 TEST_F(RobustnessTest, ShutdownCancelPendingCompletesQueuedAsCancelled) {
