@@ -6,8 +6,7 @@
 //       --limit=N                stop after N results
 //       --time-ms=T              per-query time budget
 //       --print=N                print the first N paths (default 5)
-//       --threads=N              use the parallel IDX-DFS with N threads
-//                                (not with --method=join)
+//       --threads=N              split the query across N engine workers
 //   pathenum_cli generate <dataset> <scale> <out-file>
 //       instantiate a catalog dataset (up, db, gg, ..., tm) as an edge list
 //   pathenum_cli stats <edge-list>
@@ -20,8 +19,8 @@
 #include <string_view>
 #include <type_traits>
 
-#include "core/parallel_dfs.h"
 #include "core/path_enum.h"
+#include "engine/query_engine.h"
 #include "graph/io.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -61,10 +60,20 @@ bool ParseNumber(std::string_view text, const char* what, T* out) {
   return true;
 }
 
-// The notes both query paths print when the run stopped early.
-void PrintStopNotes(const EnumCounters& counters) {
-  if (counters.timed_out) std::cout << "(stopped at time limit)\n";
-  if (counters.hit_result_limit) std::cout << "(stopped at result limit)\n";
+// The summary both query paths print: the count, the method that ran (and,
+// for a split run, the active worker count), the per-stage times, and a
+// note when the run stopped early.
+void PrintSummary(const QueryStats& stats, uint32_t workers) {
+  std::cout << stats.counters.num_results << " paths in " << stats.total_ms
+            << " ms (" << MethodName(stats.method);
+  if (workers > 0) std::cout << ", " << workers << " workers";
+  std::cout << "; index " << stats.index_ms << " ms, optimize "
+            << stats.optimize_ms << " ms, enumerate " << stats.enumerate_ms
+            << " ms)\n";
+  if (stats.counters.timed_out) std::cout << "(stopped at time limit)\n";
+  if (stats.counters.hit_result_limit) {
+    std::cout << "(stopped at result limit)\n";
+  }
 }
 
 bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
@@ -111,33 +120,20 @@ int RunQuery(int argc, char** argv) {
       return 2;
     }
   }
-  if (threads > 0 && opts.method == Method::kJoin) {
-    std::cerr << "--threads runs the parallel IDX-DFS; it cannot be combined "
-                 "with --method=join\n";
-    return 2;
-  }
-
   const Graph graph = LoadEdgeList(argv[2]);
-  PathEnumerator enumerator(graph);
-  CollectingSink sink(std::max<size_t>(print_count, 1));
-
   if (threads > 0) {
-    // Parallel counting path. The build gets the same options (and so the
-    // same --time-ms budget) as the serial DFS path.
-    opts.method = Method::kDfs;
-    const LightweightIndex index = enumerator.BuildIndex(
-        query, PathEnumerator::BuildOptionsFor(query, opts));
-    ParallelEnumResult result;
-    if (index.build_stats().interrupted) {
-      result.counters.timed_out = true;  // the build used up --time-ms
-    } else {
-      result = ParallelDfsEnumerator(index, threads).CountAll(opts);
+    // A one-query split batch: it plans like the serial path (so --method
+    // applies) and builds with its options (so --time-ms bounds the build).
+    QueryEngine engine(graph, {.num_workers = threads});
+    BatchOptions batch;
+    batch.query = opts;
+    batch.split_branches = true;
+    const BatchResult result = engine.CountBatch({&query, 1}, batch);
+    if (!result.errors[0].empty()) {
+      std::cerr << "error: " << result.errors[0] << "\n";
+      return 1;
     }
-    std::cout << result.counters.num_results << " paths ("
-              << result.threads_used << " threads, index "
-              << index.build_stats().total_ms << " ms, enumerate "
-              << result.wall_ms << " ms)\n";
-    PrintStopNotes(result.counters);
+    PrintSummary(result.stats[0], result.workers);
     return 0;
   }
 
@@ -151,13 +147,8 @@ int RunQuery(int argc, char** argv) {
     }
     return true;
   });
-  const QueryStats stats = enumerator.Run(query, counting, opts);
-  std::cout << stats.counters.num_results << " paths in " << stats.total_ms
-            << " ms (" << MethodName(stats.method)
-            << "; index " << stats.index_ms << " ms, optimize "
-            << stats.optimize_ms << " ms, enumerate " << stats.enumerate_ms
-            << " ms)\n";
-  PrintStopNotes(stats.counters);
+  PathEnumerator enumerator(graph);
+  PrintSummary(enumerator.Run(query, counting, opts), /*workers=*/0);
   return 0;
 }
 

@@ -73,9 +73,9 @@ class JoinEnumerator {
 
   /// One probe unit of a split IDX-JOIN: joins the left tuples
   /// [tuple_begin, tuple_end) of `left` against the grouped right half and
-  /// emits the valid joined paths into `sink` (a serialized BranchSink in
-  /// the engine; cross-worker limits are delegated to it via
-  /// internal::BranchOptions). `groups` is indexed by slot.
+  /// emits the valid joined paths into `sink` (the split driver's
+  /// BranchSink, to which cross-worker limits are delegated). `groups` is
+  /// indexed by slot.
   EnumCounters ProbeUnit(const LightweightIndex& index, uint32_t cut,
                          std::span<const uint32_t> left, size_t tuple_begin,
                          size_t tuple_end, std::span<const JoinGroup> groups,

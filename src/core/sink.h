@@ -287,7 +287,7 @@ class BlockEmitter {
 /// branch drivers must agree on: the result-limit reservation counter, the
 /// response-target record, the count of paths actually handed to inner
 /// sinks, and the stop latch. Exactly one gate exists per fanned-out query;
-/// the BranchSink adapters below share it.
+/// its BranchSink adapter below delivers through it.
 ///
 /// Delivery is reservation-based, so `delivered()` is structurally capped
 /// at `result_limit`: paths are only handed to an inner sink after winning
@@ -322,7 +322,7 @@ class BranchGate {
     return response_ms_.load(std::memory_order_relaxed);
   }
 
-  /// True once the latch tripped: a serialized inner sink refused a path,
+  /// True once the latch tripped: the inner sink refused a path or threw,
   /// or Stop() was called.
   bool stopped() const { return stopped_.load(std::memory_order_relaxed); }
 
@@ -336,7 +336,7 @@ class BranchGate {
   const uint64_t limit_;
   const uint64_t response_target_;
   const Timer& timer_;
-  std::mutex mutex_;  // serializes a kSerialized inner sink
+  std::mutex mutex_;  // serializes the inner sink
   std::atomic<uint64_t> emitted_{0};    // reservations attempted
   std::atomic<uint64_t> delivered_{0};  // inner OnPath/OnBlock deliveries
   std::atomic<bool> stopped_{false};
@@ -344,30 +344,20 @@ class BranchGate {
   std::atomic<double> response_ms_{-1.0};
 };
 
-/// The single branch fan-out sink adapter (DESIGN.md §8) — every
-/// branch-parallel driver funnels its deliveries through one of its two
-/// modes:
-///
-///  - kPerWorker: each worker wraps its *own* private inner sink
-///    (ParallelDfsEnumerator's per-worker fan-in contract). Deliveries are
-///    lock-free; an inner sink returning false stops only that worker, and
-///    the union of the per-sink path sets is the result.
-///  - kSerialized: every worker shares *one* adapter over one caller-owned
-///    sink (the engines' contract). Deliveries serialize under the gate's
-///    mutex, and the stop latch guarantees the inner sink is never called
-///    again after it returns false (it may tear down on that signal).
-///
-/// In both modes the adapter signals stop once the shared result limit is
-/// reached, which the enumerators report as a sink stop; the fan-out
-/// drivers rebuild the exact hit_result_limit/stopped_by_sink flags from
-/// the gate in internal::FinishFanout. Blocks reserve, truncate to the
-/// granted share, and deliver in one inner OnBlock call.
+/// The branch fan-out sink adapter (DESIGN.md §8): every participant of
+/// one split query shares one adapter over the caller's one sink.
+/// Deliveries serialize under the gate's mutex, and the stop latch
+/// guarantees the inner sink is never called again after it returns false
+/// or throws (it may tear down on that signal). The adapter also signals
+/// stop once the shared result limit is reached, which the enumerators
+/// report as a sink stop; the split driver (engine/split_query.cpp)
+/// rebuilds the exact hit_result_limit/stopped_by_sink flags from the
+/// gate. Blocks reserve, truncate to the granted share, and deliver in one
+/// inner OnBlock call.
 class BranchSink : public PathSink {
  public:
-  enum class Mode { kPerWorker, kSerialized };
-
-  BranchSink(BranchGate& gate, PathSink& inner, Mode mode)
-      : gate_(gate), inner_(inner), mode_(mode) {}
+  BranchSink(BranchGate& gate, PathSink& inner)
+      : gate_(gate), inner_(inner) {}
 
   bool OnPath(std::span<const VertexId> path) override;
   BlockResult OnBlock(const PathBlockView& block) override;
@@ -375,7 +365,6 @@ class BranchSink : public PathSink {
  private:
   BranchGate& gate_;
   PathSink& inner_;
-  const Mode mode_;
 };
 
 }  // namespace pathenum

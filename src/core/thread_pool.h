@@ -1,9 +1,7 @@
 // A fixed pool of persistent worker threads. Workers are spawned once and
-// parked on a condition variable between jobs, so issuing a batch costs a
-// wake-up instead of thread creation — the per-query thread spawn of the
-// original ParallelDfsEnumerator is exactly what this amortizes away.
-// Lives in core/ (not engine/) because every branch-parallel driver —
-// ParallelDfsEnumerator included — fans out through it (DESIGN.md §8).
+// parked on a condition variable between jobs, so issuing a batch or one
+// phase of a split query costs a wake-up instead of thread creation. Both
+// engines (engine/, live/) host their workers on it (DESIGN.md §5, §8).
 #ifndef PATHENUM_CORE_THREAD_POOL_H_
 #define PATHENUM_CORE_THREAD_POOL_H_
 

@@ -2,6 +2,15 @@
 
 namespace pathenum {
 
+size_t SplitScratch::Bytes() const {
+  size_t bytes = VectorBytes(starts) + VectorBytes(left) + VectorBytes(right) +
+                 VectorBytes(ranges) + VectorBytes(range_worker) +
+                 VectorBytes(is_key) + VectorBytes(groups) +
+                 VectorBytes(counters);
+  for (const std::vector<uint32_t>& buf : right) bytes += VectorBytes(buf);
+  return bytes;
+}
+
 QueryStats QueryContext::Run(const Query& q, PathSink& sink,
                              const EnumOptions& opts) {
   // Count only queries that actually executed: validation throws before

@@ -8,12 +8,34 @@
 #define PATHENUM_ENGINE_QUERY_CONTEXT_H_
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/path_enum.h"
 #include "engine/index_cache.h"
 #include "obs/span.h"
 
 namespace pathenum {
+
+/// Grow-only scratch of the split queries one context leads (DESIGN.md §8):
+/// the split IDX-JOIN's unit and merge tables plus the per-participant
+/// counters. Reused query after query, so the split steady state allocates
+/// nothing (§5); concurrent split queries have distinct leaders and so
+/// never share it.
+struct SplitScratch {
+  std::vector<uint32_t> starts;  // right-half units: the cut level set
+  std::vector<uint32_t> left;    // left-half tuples
+  /// Right-half tuples, one buffer per participant id.
+  std::vector<std::vector<uint32_t>> right;
+  /// Per start: its tuple range in right[range_worker[i]].
+  std::vector<std::pair<size_t, size_t>> ranges;
+  std::vector<uint32_t> range_worker;
+  std::vector<uint8_t> is_key;    // slot-indexed join-key set
+  std::vector<JoinGroup> groups;  // slot-indexed right-half groups
+  std::vector<EnumCounters> counters;  // per participant id
+
+  size_t Bytes() const;
+};
 
 /// One worker's reusable execution state. Not thread-safe: a context is
 /// owned by exactly one worker at a time.
@@ -52,7 +74,7 @@ class QueryContext {
   void NoteFanout(uint64_t extra_served) { queries_run_ += extra_served; }
 
   /// Builds — or fetches from `cache`, when one is given — the per-query
-  /// index a split driver fans out over (DESIGN.md §8). `build_opts` must
+  /// index a split query fans out over (DESIGN.md §8). `build_opts` must
   /// come from PathEnumerator::BuildOptionsFor so split and serial
   /// executions share cache fingerprints. Charges build stats to `stats`
   /// on a miss and flags `stats.index_cache_hit` on a hit; always fills
@@ -67,17 +89,23 @@ class QueryContext {
   DfsEnumerator& split_dfs() { return enumerator_.dfs_; }
   JoinEnumerator& split_join() { return enumerator_.join_; }
 
+  /// Scratch of the split queries this context leads.
+  SplitScratch& split_scratch() { return split_scratch_; }
+
   PathEnumerator& enumerator() { return enumerator_; }
 
   /// Queries executed through this context since construction.
   uint64_t queries_run() const { return queries_run_; }
 
   /// Bytes of reusable scratch currently held (see
-  /// PathEnumerator::ScratchBytes).
-  size_t ScratchBytes() const { return enumerator_.ScratchBytes(); }
+  /// PathEnumerator::ScratchBytes), split scratch included.
+  size_t ScratchBytes() const {
+    return enumerator_.ScratchBytes() + split_scratch_.Bytes();
+  }
 
  private:
   PathEnumerator enumerator_;
+  SplitScratch split_scratch_;
   uint64_t queries_run_ = 0;
 };
 

@@ -50,6 +50,8 @@
 
 namespace pathenum {
 
+struct SplitPhase;
+
 struct AsyncEngineOptions {
   /// What happens when a submission finds the admission queue full.
   enum class ShedPolicy : uint8_t {
@@ -97,14 +99,15 @@ struct SubmitOptions {
   /// Applied to the query's enumeration.
   EnumOptions query;
 
-  /// Heavy-ticket mode (DESIGN.md §8): the claiming worker builds the
-  /// index on the submission's snapshot, then fans the first-level DFS
-  /// branches out as units that *idle* workers cooperatively drain between
-  /// queue pops — one straggler query no longer serializes behind the
-  /// update stream, and every branch unit observes exactly the ticket's
-  /// snapshot (the units run on the immutable per-query index). Limit and
-  /// truncation semantics are identical to the serial path via the shared
-  /// BranchGate's per-ticket stop latch. Forces IDX-DFS.
+  /// Heavy-ticket mode (DESIGN.md §8): the claiming worker acquires the
+  /// index on the submission's snapshot and plans it like a plain ticket,
+  /// then fans the planned method's units — first-level DFS branches, or
+  /// the split IDX-JOIN's half and probe units — out to *idle* workers,
+  /// which drain them between queue pops. One straggler query no longer
+  /// serializes behind the update stream, and every unit observes exactly
+  /// the ticket's snapshot (the units run on the immutable per-query
+  /// index). Limit and truncation semantics are identical to the serial
+  /// path via the shared BranchGate's per-ticket stop latch.
   bool split_branches = false;
 };
 
@@ -279,48 +282,26 @@ class AsyncEngine {
     obs::QuerySpan span;
   };
 
-  /// One split ticket's shared fan-out state (DESIGN.md §8). The leader —
-  /// the worker that claimed the submission — owns the job's lifetime: it
-  /// publishes the job, drains units itself, retires the job from the
-  /// registry, and waits for the helpers that joined before merging. The
-  /// index shared_ptr keeps the enumeration's snapshot-consistent input
-  /// alive however long helpers run.
-  struct SplitJob {
-    SplitJob(std::shared_ptr<const LightweightIndex> idx,
-             std::span<const uint32_t> branch_units, PathSink& inner,
-             const EnumOptions& query_opts)
-        : index(std::move(idx)),
-          branches(branch_units),
-          opts(query_opts),
-          deadline(Deadline::AfterMs(query_opts.time_limit_ms)),
-          gate(query_opts.result_limit, query_opts.response_target, timer),
-          sink(gate, inner, BranchSink::Mode::kSerialized) {}
-
-    std::shared_ptr<const LightweightIndex> index;
-    std::span<const uint32_t> branches;  // into *index, kept alive above
-    const EnumOptions opts;
-    Timer timer;  // enumeration stopwatch (feeds enumerate_ms)
-    /// One absolute deadline for the whole fan-out; every unit derives its
-    /// remaining budget from it (DrainBranches/BranchOptions).
-    const Deadline deadline;
-    BranchGate gate;
-    BranchSink sink;
-    std::atomic<uint32_t> cursor{0};
-    std::atomic<bool> stop_claims{false};
-
-    std::mutex mutex;  // guards the fields below
+  /// A split ticket's recruitment barrier (DESIGN.md §8). The leader —
+  /// the worker that claimed the ticket — publishes each fan-out phase of
+  /// the split driver here, drains units itself, retires the phase, and
+  /// waits for the helpers that joined before the driver moves on.
+  struct SplitBarrier {
+    SplitPhase* phase = nullptr;  // the published phase (queue_mutex_)
+    std::mutex mutex;             // guards active_helpers
     std::condition_variable helpers_done;
     uint32_t active_helpers = 0;
-    std::vector<EnumCounters> worker_counters;
-    /// First participant failure (a throwing sink, typically). Set with
-    /// stop_claims + gate.Stop() so the other participants wind down; the
-    /// leader turns it into the ticket's error after the merge barrier.
-    std::string error;
   };
 
   void WorkerLoop(uint32_t worker);
-  void Execute(QueryContext& ctx, Submission& task);
-  void ExecuteSplit(QueryContext& ctx, Submission& task);
+  void Execute(uint32_t worker, Submission& task);
+
+  /// The async engine's SplitRecruit for one phase of a split ticket led by
+  /// `worker`: publishes the phase so idle workers help between queue
+  /// pops, participates as the leader, retires the phase and waits out
+  /// the helpers that joined.
+  void RecruitIdleWorkers(const std::shared_ptr<SplitBarrier>& barrier,
+                          SplitPhase& phase, uint32_t worker);
 
   /// Opportunistic batched prebuild (DESIGN.md §11): when `task`'s index
   /// is a cache miss, drains co-pending same-snapshot same-fingerprint
@@ -333,15 +314,12 @@ class AsyncEngine {
   /// busy builder or any failure just falls back to solo builds.
   void MaybeBatchPrebuild(Submission& task);
 
-  /// True when some registered split job still has unclaimed units —
+  /// True when some published split phase still has unclaimed units —
   /// part of the worker wait predicate; queue_mutex_ must be held.
   bool HasSplitWorkLocked() const;
-  /// Registers this worker as a helper on a job with remaining units, or
-  /// returns null; queue_mutex_ must be held.
-  std::shared_ptr<SplitJob> ClaimSplitWorkLocked();
-  /// Drains units of `job` on this worker's context and folds the
-  /// counters in (leader and helpers share this path).
-  static void DrainSplitUnits(SplitJob& job, QueryContext& ctx);
+  /// Registers this worker as a helper on a published phase with
+  /// remaining units, or returns null; queue_mutex_ must be held.
+  std::shared_ptr<SplitBarrier> ClaimSplitWorkLocked();
 
   /// Shared admission for Submit and TrySubmit, which differ only in how
   /// they refuse: under kRejectNewest a full queue makes Submit
@@ -387,9 +365,9 @@ class AsyncEngine {
   std::condition_variable queue_not_full_;
   std::condition_variable idle_;
   std::deque<Submission> queue_;
-  /// Split jobs idle workers may help with (guarded by queue_mutex_; the
-  /// jobs' own state is synchronized by their atomics/mutex).
-  std::deque<std::shared_ptr<SplitJob>> split_jobs_;
+  /// Split phases idle workers may help with (guarded by queue_mutex_;
+  /// the phases' own state is synchronized by their atomics/mutex).
+  std::deque<std::shared_ptr<SplitBarrier>> split_phases_;
   size_t in_flight_ = 0;
   bool shutdown_ = false;
   /// Lifecycle counters, registered as pathenum_async_* metrics. The first

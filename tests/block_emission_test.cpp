@@ -13,7 +13,7 @@
 #include "core/dfs_enumerator.h"
 #include "core/index.h"
 #include "core/join_enumerator.h"
-#include "core/parallel_dfs.h"
+#include "core/path_enum.h"
 #include "core/reference.h"
 #include "engine/query_engine.h"
 #include "graph/builder.h"
@@ -203,36 +203,29 @@ TEST(BlockEmissionTest, SplitEngineDeliversExactlyTheLimit) {
   }
 }
 
-TEST(BlockEmissionTest, ParallelDfsBlockDeliveryMatchesSequential) {
+TEST(BlockEmissionTest, SplitDfsBlockDeliveryMatchesSequential) {
+  // Branch blocks from four workers funnel through the split driver's one
+  // serialized sink: the same set and the same counters as the serial
+  // IDX-DFS.
   const Graph g = RandomGraph(50, 5, 23);
   const Query q{0, 49, 5};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
-  DfsEnumerator seq;
+  EnumOptions dfs;
+  dfs.method = Method::kDfs;
+  PathEnumerator serial(g);
   CollectingSink seq_sink;
-  const EnumCounters seq_c = seq.Run(idx, seq_sink, {});
+  const QueryStats seq = serial.Run(q, seq_sink, dfs);
 
-  ParallelDfsEnumerator par(idx, 4);
-  std::vector<std::unique_ptr<CollectingSink>> workers;
-  std::mutex mu;
-  const ParallelEnumResult r = par.Run([&] {
-    auto sink = std::make_unique<CollectingSink>();
-    CollectingSink* raw = sink.get();
-    const std::lock_guard<std::mutex> lock(mu);
-    workers.emplace_back(std::move(sink));
-    return std::unique_ptr<PathSink>(
-        std::make_unique<CallbackSink>([raw](std::span<const VertexId> p) {
-          return raw->OnPath(p);
-        }));
-  });
-  PathSet merged;
-  for (const auto& w : workers) {
-    for (const auto& p : w->paths()) merged.insert(p);
-  }
-  EXPECT_EQ(merged, ToSet(seq_sink.paths()));
-  EXPECT_EQ(r.counters.num_results, seq_c.num_results);
-  EXPECT_EQ(r.counters.partials, seq_c.partials);
-  EXPECT_EQ(r.counters.edges_accessed, seq_c.edges_accessed);
+  QueryEngine engine(g, {.num_workers = 4});
+  CollectingSink sink;
+  PathSink* sink_ptr = &sink;
+  const BatchResult r = engine.RunBatch(
+      {&q, 1}, {&sink_ptr, 1}, {.query = dfs, .split_branches = true});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(ToSet(sink.paths()), ToSet(seq_sink.paths()));
+  EXPECT_EQ(sink.paths().size(), seq_sink.paths().size());
+  EXPECT_EQ(r.stats[0].counters.num_results, seq.counters.num_results);
+  EXPECT_EQ(r.stats[0].counters.partials, seq.counters.partials);
+  EXPECT_EQ(r.stats[0].counters.edges_accessed, seq.counters.edges_accessed);
 }
 
 // --- Throwing-sink recovery ------------------------------------------------
@@ -371,7 +364,7 @@ TEST(BranchSinkBlockTest, BlockReservationPinsDeliveredToLimit) {
   Timer timer;
   BranchGate gate(/*result_limit=*/5, /*response_target=*/3, timer);
   CountingSink inner;
-  BranchSink sink(gate, inner, BranchSink::Mode::kSerialized);
+  BranchSink sink(gate, inner);
   PathBlock block;
   for (uint32_t i = 0; i < 8; ++i) {
     const uint32_t path[] = {0, i + 1, 9};
@@ -389,11 +382,11 @@ TEST(BranchSinkBlockTest, BlockReservationPinsDeliveredToLimit) {
   EXPECT_EQ(gate.delivered(), 5u) << "never limit + 1";
 }
 
-TEST(BranchSinkBlockTest, SerializedLatchStopsBlockDelivery) {
+TEST(BranchSinkBlockTest, LatchStopsBlockDelivery) {
   Timer timer;
   BranchGate gate(100, 0, timer);
   CollectingSink inner(3);
-  BranchSink sink(gate, inner, BranchSink::Mode::kSerialized);
+  BranchSink sink(gate, inner);
   PathBlock block;
   for (uint32_t i = 0; i < 8; ++i) {
     const uint32_t path[] = {0, i + 1, 9};

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/path_enum.h"
@@ -350,6 +352,45 @@ TEST(QueryEngineTest, SplitModeHonorsSinkStopContract) {
   EXPECT_TRUE(result.stats[0].counters.stopped_by_sink);
 }
 
+TEST(QueryEngineTest, SplitModeThrowingSinkIsCalledOnceAndFailsTheQuery) {
+  // A sink that throws on its first path is as final as one that refuses:
+  // no other participant may call it again, and the query reports kError
+  // with the sink's message — for the DFS branch fan-out and the split
+  // join's probe alike. The engine keeps serving afterwards.
+  class ThrowingSink : public PathSink {
+   public:
+    bool OnPath(std::span<const VertexId>) override {
+      calls.fetch_add(1);
+      throw std::runtime_error("sink exploded");
+    }
+    std::atomic<int> calls{0};
+  };
+  const Graph g = ErdosRenyi(60, 700, 33);
+  const Query q{0, 30, 6};
+  QueryEngine engine(g, {.num_workers = 4});
+  for (const Method method : {Method::kDfs, Method::kJoin}) {
+    BatchOptions opts;
+    opts.split_branches = true;
+    opts.query.method = method;
+    for (int rep = 0; rep < 10; ++rep) {
+      ThrowingSink sink;
+      PathSink* sinks[] = {&sink};
+      const BatchResult r =
+          engine.RunBatch(std::span<const Query>{&q, 1}, sinks, opts);
+      EXPECT_EQ(sink.calls.load(), 1)
+          << MethodName(method) << " rep " << rep;
+      EXPECT_EQ(r.states[0], QueryState::kError);
+      EXPECT_NE(r.errors[0].find("sink exploded"), std::string::npos);
+    }
+    CountingSink good;
+    PathSink* sinks[] = {&good};
+    const BatchResult r =
+        engine.RunBatch(std::span<const Query>{&q, 1}, sinks, opts);
+    EXPECT_EQ(r.states[0], QueryState::kOk);
+    EXPECT_GT(good.count(), 0u);
+  }
+}
+
 TEST(QueryEngineTest, LimitHitDoesNotPoisonLaterQueries) {
   const Graph g = ErdosRenyi(60, 700, 21);
   const Query heavy{0, 30, 6};
@@ -420,18 +461,26 @@ TEST(QueryEngineTest, ScratchStopsGrowingAcrossRepeatedBatches) {
   // scratch footprint must be bit-stable once warmed (with stealing, which
   // context saw which query — and hence per-context capacity — can vary
   // run to run even though each context individually stops growing).
-  QueryEngine engine(g, {.num_workers = 1});
+  // The split join's unit and merge tables are grow-only scratch of the
+  // leading context and must settle the same way.
+  BatchOptions split_join;
+  split_join.split_branches = true;
+  split_join.query.method = Method::kJoin;
+  for (const BatchOptions& opts : {BatchOptions{}, split_join}) {
+    QueryEngine engine(g, {.num_workers = 1});
 
-  // Warm-up: two passes let every buffer reach workload size and the
-  // arenas consolidate.
-  engine.CountBatch(queries);
-  engine.CountBatch(queries);
-  const size_t warm = engine.Stats().scratch_bytes;
-  ASSERT_GT(warm, 0u);
+    // Warm-up: two passes let every buffer reach workload size and the
+    // arenas consolidate.
+    engine.CountBatch(queries, opts);
+    engine.CountBatch(queries, opts);
+    const size_t warm = engine.Stats().scratch_bytes;
+    ASSERT_GT(warm, 0u);
 
-  for (int rep = 0; rep < 5; ++rep) engine.CountBatch(queries);
-  EXPECT_EQ(engine.Stats().scratch_bytes, warm)
-      << "per-query scratch kept growing after warm-up";
+    for (int rep = 0; rep < 5; ++rep) engine.CountBatch(queries, opts);
+    EXPECT_EQ(engine.Stats().scratch_bytes, warm)
+        << "per-query scratch kept growing after warm-up (split="
+        << opts.split_branches << ")";
+  }
 }
 
 TEST(PathEnumeratorTest, SequentialScratchStableAcrossRepeats) {

@@ -1054,6 +1054,9 @@ TEST(AsyncEngineTest, SplitSubmitMatchesSerialAnswer) {
   const Graph base = ErdosRenyi(n, 260, /*seed=*/9);
   const Query heavy{0, n - 1, 5};
   const PathSet expected = Reference(base, heavy);
+  CountingSink serial_sink;
+  const Method serial_method =
+      PathEnumerator(base).Run(heavy, serial_sink).method;
   for (const uint32_t workers : {1u, 3u}) {
     AsyncEngineOptions opts;
     opts.num_workers = workers;
@@ -1065,8 +1068,55 @@ TEST(AsyncEngineTest, SplitSubmitMatchesSerialAnswer) {
     ASSERT_TRUE(ticket.ok()) << ticket.error();
     EXPECT_EQ(ToSet(sink.paths()), expected) << workers << " workers";
     EXPECT_EQ(stats.counters.num_results, expected.size());
-    EXPECT_EQ(stats.method, Method::kDfs);
+    EXPECT_EQ(stats.method, serial_method) << "split plans like serial";
   }
+}
+
+TEST(AsyncEngineTest, SplitTicketHitsTheIndexAPlainTicketCached) {
+  // Split tickets build with the serial path's options, so they share
+  // index-cache fingerprints with plain tickets: a split ticket after a
+  // plain one on the same (s, t, k) reuses the index it published.
+  const VertexId n = 40;
+  const Graph base = ErdosRenyi(n, 260, /*seed=*/9);
+  const Query heavy{0, n - 1, 5};
+  AsyncEngineOptions opts;
+  opts.num_workers = 3;
+  opts.enable_cache = true;
+  AsyncEngine engine(base, opts);
+  CountingSink plain_sink;
+  QueryTicket plain = engine.Submit(heavy, plain_sink);
+  EXPECT_FALSE(plain.Wait().index_cache_hit);
+  ASSERT_TRUE(plain.ok()) << plain.error();
+  CountingSink split_sink;
+  QueryTicket split =
+      engine.Submit(heavy, split_sink, SubmitOptions{.split_branches = true});
+  const QueryStats& stats = split.Wait();
+  ASSERT_TRUE(split.ok()) << split.error();
+  EXPECT_TRUE(stats.index_cache_hit);
+  EXPECT_EQ(split_sink.count(), plain_sink.count());
+}
+
+TEST(AsyncEngineTest, SplitTicketRunsTheRequestedJoin) {
+  // A split ticket asking for IDX-JOIN runs the split join — the half,
+  // merge and probe phases on idle workers — and delivers the serial
+  // result count.
+  const VertexId n = 40;
+  const Graph base = ErdosRenyi(n, 260, /*seed=*/9);
+  const Query heavy{0, n - 1, 5};
+  const uint64_t expected = Reference(base, heavy).size();
+  AsyncEngineOptions opts;
+  opts.num_workers = 3;
+  AsyncEngine engine(base, opts);
+  EnumOptions join;
+  join.method = Method::kJoin;
+  CollectingSink sink;
+  QueryTicket ticket = engine.Submit(
+      heavy, sink, SubmitOptions{.query = join, .split_branches = true});
+  const QueryStats& stats = ticket.Wait();
+  ASSERT_TRUE(ticket.ok()) << ticket.error();
+  EXPECT_EQ(stats.method, Method::kJoin);
+  EXPECT_EQ(stats.counters.num_results, expected);
+  EXPECT_EQ(sink.paths().size(), expected);
 }
 
 TEST(AsyncEngineTest, SplitTicketExactLimitNeverDeliversLimitPlusOne) {

@@ -1,17 +1,16 @@
-// Tests for the parallel IDX-DFS enumerator and the triggered-cycle API.
+// Tests for the split IDX-DFS branch fan-out (QueryEngine split mode with
+// the method forced to DFS) and the triggered-cycle API.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
-#include <mutex>
+#include <algorithm>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/cycles.h"
-#include "core/dfs_enumerator.h"
-#include "core/parallel_dfs.h"
 #include "core/path_enum.h"
 #include "core/reference.h"
+#include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -21,214 +20,104 @@ namespace {
 using testing::PathSet;
 using testing::ToSet;
 
-/// Runs the parallel enumerator with per-thread collecting sinks merged
-/// into one set.
-PathSet ParallelCollect(const LightweightIndex& idx, uint32_t threads,
-                        ParallelEnumResult* out_result = nullptr,
-                        const EnumOptions& opts = {}) {
-  ParallelDfsEnumerator parallel(idx, threads);
-  std::mutex mutex;
-  std::vector<std::vector<std::vector<VertexId>>> shards;
-  shards.reserve(64);  // stable addresses: one shard per worker at most
-  const ParallelEnumResult result = parallel.Run(
-      [&]() -> std::unique_ptr<PathSink> {
-        const std::lock_guard<std::mutex> lock(mutex);
-        shards.emplace_back();
-        auto* shard = &shards.back();
-        return std::make_unique<CallbackSink>(
-            [shard](std::span<const VertexId> p) {
-              shard->emplace_back(p.begin(), p.end());
-              return true;
-            });
-      },
-      opts);
-  if (out_result != nullptr) *out_result = result;
-  PathSet merged;
-  size_t total = 0;
-  for (const auto& shard : shards) {
-    total += shard.size();
-    for (const auto& p : shard) merged.insert(p);
-  }
-  EXPECT_EQ(total, merged.size()) << "shards must be disjoint";
-  return merged;
+/// Runs `q` as a one-query split batch on a `workers`-worker engine with
+/// IDX-DFS forced (the first-level branch fan-out) into one collecting
+/// sink; `out` receives the delivered set.
+BatchResult SplitCollect(const Graph& g, const Query& q, uint32_t workers,
+                         PathSet* out, EnumOptions opts = {}) {
+  opts.method = Method::kDfs;
+  QueryEngine engine(g, {.num_workers = workers});
+  CollectingSink sink;
+  PathSink* sink_ptr = &sink;
+  const BatchResult r = engine.RunBatch(
+      {&q, 1}, {&sink_ptr, 1}, {.query = opts, .split_branches = true});
+  *out = ToSet(sink.paths());
+  EXPECT_EQ(out->size(), sink.paths().size()) << "a path delivered twice";
+  return r;
 }
 
-class ParallelDfsTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(ParallelDfsTest, MatchesSequentialOnExample) {
-  const Graph g = testing::PaperExampleGraph();
-  const Query q = testing::PaperExampleQuery();
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
-  const PathSet expected = ToSet(BruteForcePaths(g, q));
-  EXPECT_EQ(ParallelCollect(idx, GetParam()), expected);
+/// The serial IDX-DFS run the split results are compared against.
+QueryStats SerialDfs(const Graph& g, const Query& q, EnumOptions opts = {}) {
+  opts.method = Method::kDfs;
+  PathEnumerator serial(g);
+  CountingSink sink;
+  return serial.Run(q, sink, opts);
 }
 
-TEST_P(ParallelDfsTest, MatchesSequentialOnRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    const Graph g = RMat(6, 300, seed * 7);
-    const Query q{static_cast<VertexId>(seed % 64),
-                  static_cast<VertexId>((seed * 37 + 5) % 64), 5};
-    if (q.source == q.target) continue;
-    IndexBuilder builder;
-    const LightweightIndex idx = builder.Build(g, q);
-    DfsEnumerator sequential(idx);
-    CollectingSink seq_sink;
-    sequential.Run(seq_sink, {});
-    EXPECT_EQ(ParallelCollect(idx, GetParam()), ToSet(seq_sink.paths()))
-        << "seed=" << seed;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelDfsTest,
-                         ::testing::Values(1u, 2u, 4u, 8u));
-
-TEST(ParallelDfsTest, CountAllAgreesWithSequentialCounters) {
+TEST(SplitQueryTest, CountsAgreeWithSequentialCounters) {
   const Graph g = CompleteDigraph(10);
   const Query q{0, 9, 4};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
-  DfsEnumerator sequential(idx);
-  CountingSink seq_sink;
-  const EnumCounters seq = sequential.Run(seq_sink, {});
-  ParallelDfsEnumerator parallel(idx, 4);
-  const ParallelEnumResult par = parallel.CountAll();
-  EXPECT_EQ(par.counters.num_results, seq.num_results);
-  EXPECT_EQ(par.counters.partials, seq.partials);
-  EXPECT_EQ(par.counters.edges_accessed, seq.edges_accessed);
-  EXPECT_EQ(par.threads_used, 4u);
+  const EnumCounters seq = SerialDfs(g, q).counters;
+  PathSet got;
+  const BatchResult r = SplitCollect(g, q, 4, &got);
+  ASSERT_TRUE(r.ok());
+  const EnumCounters& split = r.stats[0].counters;
+  EXPECT_EQ(split.num_results, seq.num_results);
+  EXPECT_EQ(split.partials, seq.partials);
+  EXPECT_EQ(split.edges_accessed, seq.edges_accessed);
+  const uint32_t hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(r.workers, std::min(4u, hw == 0 ? 4u : hw));
 }
 
-TEST(ParallelDfsTest, ResultLimitIsExactAcrossThreads) {
+TEST(SplitQueryTest, ResultLimitIsExactAcrossThreads) {
   const Graph g = LayeredGraph(3, 5);  // 125 paths
   const Query q{0, static_cast<VertexId>(g.num_vertices() - 1), 4};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
   EnumOptions opts;
   opts.result_limit = 40;
-  ParallelEnumResult result;
-  const PathSet got = ParallelCollect(idx, 4, &result, opts);
+  PathSet got;
+  const BatchResult r = SplitCollect(g, q, 4, &got, opts);
   EXPECT_EQ(got.size(), 40u);
-  EXPECT_TRUE(result.counters.hit_result_limit);
+  EXPECT_TRUE(r.stats[0].counters.hit_result_limit);
 }
 
-TEST(ParallelDfsTest, ExactLimitBoundaryNeverOvershoots) {
+TEST(SplitQueryTest, ExactLimitBoundaryNeverOvershoots) {
   // The merge-barrier regression: at limits exactly at / one under the
   // full result count, delivered must equal the limit — never limit + 1 —
   // and the truncation flags must match the sequential enumerator's.
   const Graph g = LayeredGraph(3, 5);  // 125 paths
   const Query q{0, static_cast<VertexId>(g.num_vertices() - 1), 4};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
   for (const uint64_t limit : {125u, 124u, 1u}) {
     EnumOptions opts;
     opts.result_limit = limit;
-    DfsEnumerator sequential(idx);
-    CountingSink seq_sink;
-    const EnumCounters seq = sequential.Run(seq_sink, opts);
-    ParallelEnumResult result;
-    const PathSet got = ParallelCollect(idx, 4, &result, opts);
+    const EnumCounters seq = SerialDfs(g, q, opts).counters;
+    PathSet got;
+    const BatchResult r = SplitCollect(g, q, 4, &got, opts);
+    const EnumCounters& split = r.stats[0].counters;
     EXPECT_EQ(got.size(), limit) << "limit=" << limit;
-    EXPECT_EQ(result.counters.num_results, seq.num_results);
-    EXPECT_EQ(result.counters.hit_result_limit, seq.hit_result_limit)
+    EXPECT_EQ(split.num_results, seq.num_results);
+    EXPECT_EQ(split.hit_result_limit, seq.hit_result_limit)
         << "limit=" << limit;
-    EXPECT_EQ(result.counters.stopped_by_sink, seq.stopped_by_sink)
+    EXPECT_EQ(split.stopped_by_sink, seq.stopped_by_sink)
         << "limit=" << limit;
   }
 }
 
-TEST(ParallelDfsTest, OneSinkRefusingStopsOnlyItsOwnWorker) {
-  // Per-worker fan-in contract: a private sink returning false stops that
-  // worker alone. With 2 workers on 5 first-level branches (25 paths
-  // each), the refusing worker abandons at most its single claimed branch
-  // — the steady worker must still drain the remaining >= 4 branches.
-  const Graph g = LayeredGraph(3, 5);  // 5 branches x 25 paths
-  const Query q{0, static_cast<VertexId>(g.num_vertices() - 1), 4};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
-  ParallelDfsEnumerator parallel(idx, 2);
-  std::atomic<uint64_t> steady_total{0};
-  std::atomic<int> nth{0};
-  const ParallelEnumResult result = parallel.Run([&] {
-    const bool refuser = nth.fetch_add(1) == 0;
-    return std::make_unique<CallbackSink>(
-        [&steady_total, refuser](std::span<const VertexId>) {
-          if (refuser) return false;
-          steady_total.fetch_add(1);
-          return true;
-        });
-  });
-  // In every interleaving the refuser consumes at most one branch (its
-  // first emission aborts it), so the steady worker's share is >= 4
-  // branches; whether the refuser got to refuse at all is scheduling-
-  // dependent, so only the lower bound is asserted.
-  EXPECT_GE(steady_total.load(), 100u)
-      << "a refusing sink must not halt the other worker's claiming";
-  EXPECT_LE(result.counters.num_results, 125u);
-}
-
-TEST(ParallelDfsTest, SharedPoolFormReusesTheCallersPool) {
-  // Post-migration contract: no private threads — several enumerations can
-  // ride one pool, and results stay exact.
-  const Graph g = RMat(6, 300, 17);
-  ThreadPool pool(4);
-  for (const Query q : {Query{0, 30, 5}, Query{2, 40, 4}}) {
-    IndexBuilder builder;
-    const LightweightIndex idx = builder.Build(g, q);
-    DfsEnumerator sequential(idx);
-    CollectingSink seq_sink;
-    sequential.Run(seq_sink, {});
-    ParallelDfsEnumerator parallel(idx, pool);
-    std::mutex mutex;
-    std::vector<std::vector<std::vector<VertexId>>> shards;
-    shards.reserve(8);
-    parallel.Run([&]() -> std::unique_ptr<PathSink> {
-      const std::lock_guard<std::mutex> lock(mutex);
-      shards.emplace_back();
-      auto* shard = &shards.back();
-      return std::make_unique<CallbackSink>(
-          [shard](std::span<const VertexId> p) {
-            shard->emplace_back(p.begin(), p.end());
-            return true;
-          });
-    });
-    PathSet merged;
-    for (const auto& shard : shards) {
-      for (const auto& p : shard) merged.insert(p);
-    }
-    EXPECT_EQ(merged, ToSet(seq_sink.paths()));
-  }
-}
-
-TEST(ParallelDfsTest, ResponseTargetRecordedOnce) {
+TEST(SplitQueryTest, ResponseTargetRecordedOnce) {
   const Graph g = LayeredGraph(3, 5);
   const Query q{0, static_cast<VertexId>(g.num_vertices() - 1), 4};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
   EnumOptions opts;
   opts.response_target = 50;
-  ParallelDfsEnumerator parallel(idx, 4);
-  const ParallelEnumResult result = parallel.CountAll(opts);
-  EXPECT_EQ(result.counters.num_results, 125u);
-  EXPECT_GE(result.counters.response_ms, 0.0);
+  PathSet got;
+  const BatchResult r = SplitCollect(g, q, 4, &got, opts);
+  EXPECT_EQ(r.stats[0].counters.num_results, 125u);
+  EXPECT_GE(r.stats[0].counters.response_ms, 0.0);
 }
 
-TEST(ParallelDfsTest, EmptyIndexYieldsNothing) {
+TEST(SplitQueryTest, EmptyIndexYieldsNothing) {
   const Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, {0, 3, 4});
-  ParallelDfsEnumerator parallel(idx, 4);
-  const ParallelEnumResult result = parallel.CountAll();
-  EXPECT_EQ(result.counters.num_results, 0u);
-  EXPECT_EQ(result.threads_used, 0u);
+  PathSet got;
+  const BatchResult r = SplitCollect(g, {0, 3, 4}, 4, &got);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(r.stats[0].counters.num_results, 0u);
+  EXPECT_EQ(r.states[0], QueryState::kOk);
 }
 
-TEST(ParallelDfsTest, DirectEdgeBranchHandled) {
+TEST(SplitQueryTest, DirectEdgeBranchHandled) {
   // t itself is a first-level branch when the edge (s, t) exists.
   const Graph g = Graph::FromEdges(3, {{0, 2}, {0, 1}, {1, 2}});
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, {0, 2, 2});
-  EXPECT_EQ(ParallelCollect(idx, 2), (PathSet{{0, 2}, {0, 1, 2}}));
+  PathSet got;
+  SplitCollect(g, {0, 2, 2}, 2, &got);
+  EXPECT_EQ(got, (PathSet{{0, 2}, {0, 1, 2}}));
 }
 
 // --- Triggered cycles ---------------------------------------------------------

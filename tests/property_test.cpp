@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 #include <span>
 
 #include "baselines/algorithm.h"
@@ -14,7 +12,6 @@
 #include "core/estimator.h"
 #include "core/index.h"
 #include "core/join_enumerator.h"
-#include "core/parallel_dfs.h"
 #include "core/path_enum.h"
 #include "core/reference.h"
 #include "engine/query_engine.h"
@@ -255,51 +252,6 @@ TEST(SplitDifferentialTest, TruncationFlagsAgreeAtTightLimits) {
       for (const auto& p : split.paths()) {
         EXPECT_TRUE(full_set.count(p) > 0);
       }
-    }
-  }
-}
-
-TEST(SplitDifferentialTest, ParallelDfsMatchesSequentialOnRandomGraphs) {
-  // Post-migration guarantee for the standalone parallel enumerator:
-  // identical path sets without limits, identical counts and truncation
-  // flags at tight limits.
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    const Graph g = RMat(6, 300, seed * 29 + 5);
-    const Query q{static_cast<VertexId>(seed % 64),
-                  static_cast<VertexId>((seed * 41 + 3) % 64), 5};
-    if (q.source == q.target) continue;
-    IndexBuilder builder;
-    const LightweightIndex idx = builder.Build(g, q);
-    DfsEnumerator sequential(idx);
-    CollectingSink seq_sink;
-    const EnumCounters seq_full = sequential.Run(seq_sink, {});
-
-    ParallelDfsEnumerator parallel(idx, 4);
-    std::vector<std::vector<VertexId>> merged;
-    std::mutex mutex;
-    const ParallelEnumResult par_full = parallel.Run([&] {
-      return std::make_unique<CallbackSink>(
-          [&](std::span<const VertexId> p) {
-            const std::lock_guard<std::mutex> lock(mutex);
-            merged.emplace_back(p.begin(), p.end());
-            return true;
-          });
-    });
-    EXPECT_EQ(ToSet(merged), ToSet(seq_sink.paths())) << "seed=" << seed;
-    EXPECT_EQ(par_full.counters.num_results, seq_full.num_results);
-
-    const uint64_t count = seq_full.num_results;
-    if (count < 2) continue;
-    for (const uint64_t limit : {count, count - 1, uint64_t{1}}) {
-      EnumOptions opts;
-      opts.result_limit = limit;
-      CountingSink seq_ltd;
-      const EnumCounters seq = sequential.Run(seq_ltd, opts);
-      const ParallelEnumResult par = parallel.CountAll(opts);
-      EXPECT_EQ(par.counters.num_results, seq.num_results)
-          << "seed=" << seed << " limit=" << limit;
-      EXPECT_EQ(par.counters.hit_result_limit, seq.hit_result_limit);
-      EXPECT_EQ(par.counters.stopped_by_sink, seq.stopped_by_sink);
     }
   }
 }
