@@ -21,10 +21,6 @@
 //                                 runs are result-cacheable)
 //   PATHENUM_BENCH_SKEW_LIMIT     result limit for the skewed set
 //                                 (default 10000000: effectively complete)
-//   PATHENUM_BENCH_COLD_QUERIES   coldkeys distinct-pair batch size (default 64)
-//   PATHENUM_BENCH_COLD_LIMIT     coldkeys per-query result limit  (default 10,
-//                                 small so index builds dominate — the config
-//                                 measures batched vs solo build throughput)
 //   PATHENUM_BENCH_UPDATE_ROUNDS  update-heavy epochs               (default 6)
 //   PATHENUM_BENCH_UPDATE_EDGES   edge churn per epoch              (default 8)
 //   PATHENUM_BENCH_HEAVY_QUERIES  split_heavy batch size            (default 3)
@@ -334,80 +330,6 @@ int main() {
     m.has_cache = true;
     m.cache = last;
     measurements.push_back(m);
-  }
-
-  // --- Cold distinct keys: batched index builds (DESIGN.md §11). ---------
-  // The cache's worst case — every (s, t) pair distinct, every batch
-  // miss-dominated (the cache is invalidated between reps) — run with the
-  // batched prebuild off vs on. The off/on wall ratio is what fusing K
-  // builds into one multi-source sweep is worth; the edge-scan ratio
-  // (solo-equivalent / shared) is the machine-level fusion win.
-  const size_t cold_total = EnvU64("PATHENUM_BENCH_COLD_QUERIES", 64);
-  const uint64_t cold_limit = EnvU64("PATHENUM_BENCH_COLD_LIMIT", 10);
-  double cold_off_ms = 0.0, cold_on_ms = 0.0;
-  uint64_t cold_batched_builds = 0;
-  uint64_t cold_shared_edges = 0, cold_solo_edges = 0;
-  std::vector<Query> cold_queries;
-  {
-    bench::BenchEnv cold_env = env;
-    cold_env.num_queries = cold_total * 2;  // headroom for dedup below
-    std::vector<Query> pool =
-        bench::MakeQueries(g, cold_env, skew_hops, /*seed=*/4242);
-    std::sort(pool.begin(), pool.end(), [](const Query& a, const Query& b) {
-      return std::tie(a.source, a.target) < std::tie(b.source, b.target);
-    });
-    pool.erase(std::unique(pool.begin(), pool.end(),
-                           [](const Query& a, const Query& b) {
-                             return a.source == b.source &&
-                                    a.target == b.target;
-                           }),
-               pool.end());
-    if (pool.size() > cold_total) pool.resize(cold_total);
-    cold_queries = std::move(pool);
-  }
-  if (!cold_queries.empty()) {
-    EnumOptions cold_opts = opts;
-    cold_opts.result_limit = cold_limit;
-    const auto run_cold_config = [&](uint32_t batch_min) -> Measurement {
-      EngineOptions eopts;
-      eopts.num_workers = cw;
-      eopts.enable_cache = true;
-      eopts.batch_build_min = batch_min;
-      QueryEngine engine(g, eopts);
-      BatchOptions batch;
-      batch.query = cold_opts;
-      engine.CountBatch(cold_queries, batch);  // warm scratch
-      double wall_sum = 0.0;
-      uint64_t results = 0;
-      uint32_t active = cw;
-      IndexCacheStats last{};
-      for (int r = 0; r < reps; ++r) {
-        engine.InvalidateCaches();  // every rep is miss-dominated
-        const BatchResult b = engine.CountBatch(cold_queries, batch);
-        wall_sum += b.wall_ms;
-        results = b.TotalResults();
-        active = b.workers;
-        last = b.cache;
-        if (batch_min != 0) {
-          cold_batched_builds = b.batched_builds;
-          cold_shared_edges = b.batched_edges_scanned;
-          cold_solo_edges = b.batched_solo_edges;
-        }
-      }
-      Measurement m = Measure(
-          batch_min != 0 ? "coldkeys_batch_on" : "coldkeys_batch_off", cw,
-          true, cold_queries.size(), wall_sum / reps, results);
-      m.active_workers = active;
-      m.has_cache = true;
-      m.cache = last;
-      return m;
-    };
-    const Measurement off_m = run_cold_config(/*batch_min=*/0);
-    const Measurement on_m = run_cold_config(/*batch_min=*/4);
-    cold_off_ms = off_m.wall_ms;
-    cold_on_ms = on_m.wall_ms;
-    measurements.push_back(off_m);
-    measurements.push_back(on_m);
   }
 
   // --- Update-heavy live workload (DESIGN.md §7). ------------------------
@@ -742,20 +664,6 @@ int main() {
                 static_cast<uint32_t>(skew_pool.size()));
   }
 
-  const double cold_speedup = cold_on_ms > 0.0 ? cold_off_ms / cold_on_ms : 0.0;
-  const double cold_fusion =
-      cold_shared_edges > 0
-          ? static_cast<double>(cold_solo_edges) /
-                static_cast<double>(cold_shared_edges)
-          : 0.0;
-  if (cold_on_ms > 0.0) {
-    std::printf("  [coldkeys] batched builds: %.2fx throughput (%zu distinct "
-                "pairs, %llu fused builds, %.2fx fewer edge scans)\n",
-                cold_speedup, cold_queries.size(),
-                static_cast<unsigned long long>(cold_batched_builds),
-                cold_fusion);
-  }
-
   // Hit rate over every cache interaction of the update-heavy configs
   // (result replays + index reuses vs. misses).
   const auto hit_rate = [](const IndexCacheStats& c) {
@@ -848,15 +756,6 @@ int main() {
         << ", \"fullclear_hit_rate\": " << update_full_rate
         << ", \"hit_rate_delta\": " << update_incr_rate - update_full_rate
         << "},\n"
-        << "  \"coldkeys\": {\"queries\": " << cold_queries.size()
-        << ", \"hops\": " << skew_hops << ", \"limit\": " << cold_limit
-        << ", \"batch_off_ms\": " << cold_off_ms
-        << ", \"batch_on_ms\": " << cold_on_ms
-        << ", \"throughput_speedup\": " << cold_speedup
-        << ", \"batched_builds\": " << cold_batched_builds
-        << ", \"batched_edges_scanned\": " << cold_shared_edges
-        << ", \"batched_solo_edges\": " << cold_solo_edges
-        << ", \"edge_scan_fusion\": " << cold_fusion << "},\n"
         << "  \"split_heavy\": {\"queries\": " << heavy_count
         << ", \"hops\": " << heavy_hops << ", \"limit\": " << heavy_limit
         << ", \"workers\": " << split_workers
@@ -908,10 +807,7 @@ int main() {
       ">= 2x once warm, and uniform_cache_on should sit within ~5% of "
       "engine_warm at the same worker count. update_incremental should "
       "retain a far higher hit rate than update_fullclear (which starts "
-      "cold every epoch) at equal-or-better throughput. coldkeys_batch_on "
-      "should beat coldkeys_batch_off by >= 1.5x on a distinct-pair "
-      "miss-dominated batch (the fused sweeps scan several times fewer "
-      "adjacency entries than the summed solo builds). split_heavy_on "
+      "cold every epoch) at equal-or-better throughput. split_heavy_on "
       "should cut the serial heavy-query latency by roughly the core "
       "count's share on a multi-core host (ties on a single core). "
       "unsat_flood_on should reject the all-unsatisfiable flood >= 50x "

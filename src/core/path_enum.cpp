@@ -42,22 +42,18 @@ IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& q,
   return build_opts;
 }
 
-namespace {
-
-/// Fills `stats` for a query whose index build was control-tripped: no
-/// enumeration ran, zero results, the matching terminal flag set.
-void FinalizeInterruptedBuild(QueryStats& stats,
-                              const LightweightIndex& index, Timer& total) {
+void FinalizeInterruptedBuild(const LightweightIndex& index, double total_ms,
+                              QueryStats& stats) {
   EnumCounters counters;
   if (index.build_stats().interrupted_by_cancel) {
     counters.cancelled = true;
   } else {
     counters.timed_out = true;
   }
-  Finalize(stats, counters, 0.0, total.ElapsedMs());
+  stats.bfs_ms = index.build_stats().bfs_ms;
+  stats.index_ms = index.build_stats().total_ms;
+  Finalize(stats, counters, 0.0, total_ms);
 }
-
-}  // namespace
 
 QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
                                const EnumOptions& opts) {
@@ -66,12 +62,12 @@ QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
   QueryStats stats;
   Timer total;
   LightweightIndex index = BuildIndex(q, BuildOptionsFor(q, opts));
-  stats.bfs_ms = index.build_stats().bfs_ms;
-  stats.index_ms = index.build_stats().total_ms;
   if (index.build_stats().interrupted) {
-    FinalizeInterruptedBuild(stats, index, total);
+    FinalizeInterruptedBuild(index, total.ElapsedMs(), stats);
     return stats;
   }
+  stats.bfs_ms = index.build_stats().bfs_ms;
+  stats.index_ms = index.build_stats().total_ms;
   ExecuteOnIndex(index, stats, sink, opts, total);
   return stats;
 }
@@ -184,12 +180,12 @@ QueryStats PathEnumerator::RunConstrained(const Query& q,
   build_opts.deadline = Deadline::AfterMs(opts.time_limit_ms);
   // Overlay-free is asserted above, so this is always Build<Graph>.
   LightweightIndex index = BuildIndex(q, build_opts);
-  stats.bfs_ms = index.build_stats().bfs_ms;
-  stats.index_ms = index.build_stats().total_ms;
   if (index.build_stats().interrupted) {
-    FinalizeInterruptedBuild(stats, index, total);
+    FinalizeInterruptedBuild(index, total.ElapsedMs(), stats);
     return stats;
   }
+  stats.bfs_ms = index.build_stats().bfs_ms;
+  stats.index_ms = index.build_stats().total_ms;
   stats.index_vertices = index.num_vertices();
   stats.index_edges = index.num_edges();
   stats.index_bytes = index.MemoryBytes();
@@ -221,13 +217,13 @@ QueryStats PathEnumerator::RunConstrained(const Query& q,
 
 double CalibrateTau(const Graph& g, const std::vector<Query>& sample_queries,
                     double max_tau) {
-  PathEnumerator enumerator(g);
+  // One builder for the whole sample: its O(|V|) BFS fields are
+  // allocated once and epoch-reset per query.
+  IndexBuilder builder;
   std::vector<double> optimize_times;
   std::vector<double> rates;  // results per millisecond
   for (const Query& q : sample_queries) {
-    IndexBuilder builder;
-    IndexBuilder::Options opts;
-    LightweightIndex index = builder.Build(g, q, opts);
+    LightweightIndex index = builder.Build(g, q, IndexBuilder::Options{});
 
     Timer opt_timer;
     const JoinPlan plan = OptimizeJoinOrder(index);

@@ -123,6 +123,14 @@ class PathEnumerator {
   BumpArena arena_;
 };
 
+/// Fills `stats` for a query whose index build was control-tripped
+/// (deadline or cancel): no enumeration ran, zero results, the matching
+/// terminal flag set, the build's timings charged and `total_ms` — the
+/// query's wall time so far, build included — as total and response time.
+/// The one finalizer of the serial, cached and split execution paths.
+void FinalizeInterruptedBuild(const LightweightIndex& index, double total_ms,
+                              QueryStats& stats);
+
 /// Calibrates the preliminary-estimator threshold τ for a graph following
 /// §6.2: grow τ through powers of ten until the time IDX-DFS needs to find
 /// τ results exceeds the median join-order-optimization time of the sample

@@ -1,5 +1,7 @@
 #include "engine/query_context.h"
 
+#include "util/timer.h"
+
 namespace pathenum {
 
 size_t SplitScratch::Bytes() const {
@@ -32,6 +34,7 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
   }
   // Validation throws before any cache interaction, exactly like Run.
   ValidateQuery(enumerator_.view(), q);
+  Timer total;
 
   // Cache interactions carry this context's snapshot version: a hit must be
   // valid for exactly the snapshot this query observes, and a build/record
@@ -43,7 +46,7 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
   if (result_cache_on) {
     if (const auto cached = cache->GetResult(result_key, view_version)) {
       if (span != nullptr) {
-        span->SetIndexOutcome(false, /*result_cache_hit=*/true, false);
+        span->SetIndexOutcome(false, /*result_cache_hit=*/true);
         span->Mark(obs::SpanStage::kIndexAcquire);
       }
       const QueryStats stats = ReplayCachedResult(*cached, sink, opts);
@@ -62,7 +65,7 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
       index_key, [&] { return enumerator_.BuildIndex(q, build_opts); },
       &index_hit, view_version);
   if (span != nullptr) {
-    span->SetIndexOutcome(index_hit, false, index->build_stats().batched);
+    span->SetIndexOutcome(index_hit, false);
     span->Mark(obs::SpanStage::kIndexAcquire);
   }
 
@@ -70,15 +73,7 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
     // This query's own deadline/cancel tripped mid-build (an interrupted
     // build is never published or handed to waiters, so it is always ours).
     QueryStats stats;
-    if (index->build_stats().interrupted_by_cancel) {
-      stats.counters.cancelled = true;
-    } else {
-      stats.counters.timed_out = true;
-    }
-    stats.bfs_ms = index->build_stats().bfs_ms;
-    stats.index_ms = index->build_stats().total_ms;
-    stats.total_ms = stats.index_ms;
-    stats.response_ms = stats.total_ms;
+    FinalizeInterruptedBuild(*index, total.ElapsedMs(), stats);
     ++queries_run_;
     return stats;
   }

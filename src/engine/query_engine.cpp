@@ -138,10 +138,7 @@ QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts)
   for (uint32_t w = 0; w < pool_.num_workers(); ++w) {
     contexts_.push_back(std::make_unique<QueryContext>(view_));
   }
-  if (opts.enable_cache) {
-    cache_ = std::make_unique<IndexCache>(opts.cache);
-    batch_build_min_ = opts.batch_build_min;
-  }
+  if (opts.enable_cache) cache_ = std::make_unique<IndexCache>(opts.cache);
 
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
   const std::string label =
@@ -354,88 +351,14 @@ std::vector<QueryEngine::TaskGroup> QueryEngine::GroupQueries(
   return groups;
 }
 
-void QueryEngine::PrebuildMissing(std::span<const Query> queries,
-                                  const BatchOptions& opts, IndexCache* cache,
-                                  std::vector<TaskGroup>& groups,
-                                  BatchResult& result) {
-  // Admission policies defer publication until a key has missed enough
-  // times; a prebuilt slab would be refused and rebuilt solo, so batching
-  // only makes sense with admit-everything caches.
-  if (batch_build_min_ == 0 || cache == nullptr ||
-      cache->options().admission_min_uses > 1) {
-    return;
-  }
-  // Group the missing tail by build-options fingerprint: snapshot and
-  // direction are fixed within one batch, so the fingerprint (which covers
-  // build_in_direction & co.) is the remaining axis of the (snapshot,
-  // direction, options) grouping key. Groups are already key-distinct.
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    if (groups[gi].priority != 2) continue;
-    const Query& q = queries[groups[gi].rep];
-    const IndexBuilder::Options build_opts =
-        PathEnumerator::BuildOptionsFor(q, opts.query);
-    if (build_opts.filter != nullptr) continue;  // never cacheable
-    buckets[IndexOptionsFingerprint(build_opts)].push_back(gi);
-  }
-  std::vector<BatchBuildRequest> reqs;
-  for (auto& [fp, members] : buckets) {
-    if (members.size() < batch_build_min_) continue;
-    for (size_t base = 0; base < members.size();
-         base += BatchedDistanceField::kMaxBatch) {
-      const size_t end = std::min(members.size(),
-                                  base + BatchedDistanceField::kMaxBatch);
-      // The last chunk still has to clear the threshold on its own — a
-      // tiny remainder is cheaper solo than as a near-empty sweep.
-      if (end - base < batch_build_min_ && base != 0) break;
-      reqs.clear();
-      for (size_t i = base; i < end; ++i) {
-        reqs.push_back({queries[groups[members[i]].rep], nullptr,
-                        Deadline::Unlimited()});
-      }
-      const IndexBuilder::Options build_opts =
-          PathEnumerator::BuildOptionsFor(reqs.front().query, opts.query);
-      try {
-        std::vector<LightweightIndex> built =
-            batch_builder_.BuildBatch(view_, reqs, build_opts);
-        bool counted_shared = false;
-        for (size_t i = 0; i < built.size(); ++i) {
-          if (built[i].build_stats().interrupted) continue;  // solo retry
-          const Query& q = built[i].query();
-          result.batched_builds++;
-          result.batched_solo_edges += built[i].build_stats().edges_scanned;
-          if (!counted_shared) {
-            // The shared count is batch-wide (identical on every member).
-            result.batched_edges_scanned +=
-                built[i].build_stats().batch_edges_scanned;
-            counted_shared = true;
-          }
-          // Publish through the single-flight latch: any concurrent waiter
-          // on the key is satisfied by this slab, and the version/
-          // generation guards apply exactly as for a solo build.
-          const CacheKey ikey{q.source, q.target, q.hops, fp};
-          cache->GetOrBuild(
-              ikey, [&built, i]() { return std::move(built[i]); },
-              /*was_hit=*/nullptr, view_.version());
-          groups[members[base + i]].priority = 1;
-        }
-      } catch (...) {
-        // Fault mid-batch (e.g. injected build failure): the untouched
-        // groups simply build solo on the workers, where per-query fault
-        // isolation applies.
-      }
-    }
-  }
-}
-
 void QueryEngine::RunStealing(std::span<const Query> queries,
                               std::span<PathSink* const> sinks,
                               const BatchOptions& opts, IndexCache* cache,
                               std::vector<TaskGroup>& groups,
                               BatchResult& result) {
-  // Cache-aware scheduling: replayable results first, then prebuilt
-  // indexes, then misses — hits clear the queue fast and published builds
-  // are available before any duplicate key is claimed again.
+  // Cache-aware scheduling: replayable results first, then cached
+  // indexes, then misses — hits clear the queue fast and each miss builds
+  // solo on the worker that claims it.
   if (cache != nullptr) {
     for (TaskGroup& g : groups) {
       const Query& q = queries[g.rep];
@@ -452,9 +375,6 @@ void QueryEngine::RunStealing(std::span<const Query> queries,
               PathEnumerator::BuildOptionsFor(q, opts.query))};
       if (cache->PeekIndex(ikey, view_.version()) != nullptr) g.priority = 1;
     }
-    // Fuse the cache-missing tail's index builds into shared multi-source
-    // sweeps before the workers start; prebuilt groups become index hits.
-    PrebuildMissing(queries, opts, cache, groups, result);
     std::stable_sort(groups.begin(), groups.end(),
                      [](const TaskGroup& a, const TaskGroup& b) {
                        return a.priority < b.priority;

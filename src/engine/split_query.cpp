@@ -300,20 +300,13 @@ QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
   // the same method as — its serial equivalent.
   const std::shared_ptr<const LightweightIndex> index = leader.AcquireIndex(
       q, PathEnumerator::BuildOptionsFor(q, opts), cache, stats);
-  span.SetIndexOutcome(stats.index_cache_hit, false,
-                       index->build_stats().batched);
+  span.SetIndexOutcome(stats.index_cache_hit, false);
   span.Mark(obs::SpanStage::kIndexAcquire);
 
   if (index->build_stats().interrupted) {
-    // Deadline/cancel tripped the build: no fan-out, zero paths, the
-    // matching terminal flag (the build stub has no usable slots anyway).
-    if (index->build_stats().interrupted_by_cancel) {
-      stats.counters.cancelled = true;
-    } else {
-      stats.counters.timed_out = true;
-    }
-    stats.total_ms = total.ElapsedMs();
-    stats.response_ms = stats.total_ms;
+    // Deadline/cancel tripped the build: no fan-out (the build stub has no
+    // usable slots anyway).
+    FinalizeInterruptedBuild(*index, total.ElapsedMs(), stats);
     return stats;
   }
 

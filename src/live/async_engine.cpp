@@ -98,10 +98,6 @@ AsyncEngine::AsyncEngine(Graph base, const AsyncEngineOptions& opts)
   counter("pathenum_async_sheds_total", &sheds_);
   counter("pathenum_async_cancelled_before_run_total", &cancelled_before_run_);
   counter("pathenum_async_oracle_rejects_total", &oracle_rejects_);
-  counter("pathenum_async_batched_builds_total", &batched_builds_);
-  counter("pathenum_async_batched_edges_scanned_total",
-          &batched_edges_scanned_);
-  counter("pathenum_async_batched_solo_edges_total", &batched_solo_edges_);
   reg.RegisterGauge(this, "pathenum_async_queue_depth", label, [this] {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     return static_cast<uint64_t>(queue_.size());
@@ -423,94 +419,6 @@ void AsyncEngine::RecruitIdleWorkers(
                              [&] { return barrier->active_helpers == 0; });
 }
 
-void AsyncEngine::MaybeBatchPrebuild(Submission& task) {
-  if (cache_ == nullptr || opts_.batch_build_min == 0 || task.split ||
-      cache_->options().admission_min_uses > 1) {
-    return;
-  }
-  const IndexBuilder::Options lead_opts =
-      PathEnumerator::BuildOptionsFor(task.query, task.opts);
-  if (lead_opts.filter != nullptr) return;
-  const uint64_t fp = IndexOptionsFingerprint(lead_opts);
-  const uint64_t version = task.snapshot->version();
-  const CacheKey lead_key{task.query.source, task.query.target,
-                          task.query.hops, fp};
-  if (cache_->PeekIndex(lead_key, version) != nullptr) return;
-
-  // One batch at a time engine-wide: a second claimer finding the builder
-  // busy just builds solo — no waiting, bounded K-wide field memory.
-  std::unique_lock<std::mutex> batch_lock(batch_mutex_, std::try_to_lock);
-  if (!batch_lock.owns_lock()) return;
-
-  std::vector<BatchBuildRequest> reqs;
-  // Keep every co-member's ticket state alive past the queue lock: each
-  // request aliases its ticket's cancel flag.
-  std::vector<std::shared_ptr<QueryTicket::State>> holds;
-  reqs.push_back(
-      {task.query, task.state->cancel.flag(), lead_opts.deadline});
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    for (const Submission& sub : queue_) {
-      if (reqs.size() >= BatchedDistanceField::kMaxBatch) break;
-      if (sub.split || sub.snapshot->version() != version) continue;
-      if (sub.state->cancel.cancelled()) continue;
-      if (!CheckQuery(*sub.snapshot, sub.query).ok()) continue;
-      const IndexBuilder::Options sub_opts =
-          PathEnumerator::BuildOptionsFor(sub.query, sub.opts);
-      if (sub_opts.filter != nullptr ||
-          IndexOptionsFingerprint(sub_opts) != fp) {
-        continue;
-      }
-      bool dup = false;
-      for (const BatchBuildRequest& r : reqs) {
-        dup |= r.query.source == sub.query.source &&
-               r.query.target == sub.query.target &&
-               r.query.hops == sub.query.hops;
-      }
-      if (dup) continue;
-      const CacheKey key{sub.query.source, sub.query.target, sub.query.hops,
-                         fp};
-      if (cache_->PeekIndex(key, version) != nullptr) continue;
-      reqs.push_back(
-          {sub.query, sub.state->cancel.flag(), sub_opts.deadline});
-      holds.push_back(sub.state);
-    }
-  }
-  if (reqs.size() < opts_.batch_build_min) return;
-
-  try {
-    // Controls are strictly per-member (each ticket's own cancel token and
-    // deadline); the shared options carry only the build shape.
-    IndexBuilder::Options shared = lead_opts;
-    shared.cancel = nullptr;
-    shared.deadline = Deadline::Unlimited();
-    std::vector<LightweightIndex> built =
-        batch_builder_.BuildBatch(*task.snapshot, reqs, shared);
-    bool counted_shared = false;
-    for (size_t i = 0; i < built.size(); ++i) {
-      // A tripped member builds solo at claim time (reporting its own
-      // terminal state); interrupted stubs are never published.
-      if (built[i].build_stats().interrupted) continue;
-      const Query& q = built[i].query();
-      batched_builds_.Inc();
-      batched_solo_edges_.Inc(built[i].build_stats().edges_scanned);
-      if (!counted_shared) {
-        batched_edges_scanned_.Inc(built[i].build_stats().batch_edges_scanned);
-        counted_shared = true;
-      }
-      const CacheKey key{q.source, q.target, q.hops, fp};
-      // Single-flight publish: concurrent waiters on any member key are
-      // satisfied by this slab; version/generation guards apply as usual.
-      cache_->GetOrBuild(
-          key, [&built, i]() { return std::move(built[i]); },
-          /*was_hit=*/nullptr, version);
-    }
-  } catch (...) {
-    // Any batch failure (including injected faults) falls back to solo
-    // builds, where per-query fault isolation applies.
-  }
-}
-
 void AsyncEngine::Execute(uint32_t worker, Submission& task) {
   fault::Hit(fault::Site::kAsyncClaim);
   // The worker's claim ends the queue-wait stage on every path below.
@@ -526,7 +434,6 @@ void AsyncEngine::Execute(uint32_t worker, Submission& task) {
     return;
   }
   if (task.split) task.span.SetSplit();
-  MaybeBatchPrebuild(task);
   QueryContext& ctx = *contexts_[worker];
   try {
     // The context runs on exactly the submission's snapshot; the rebind is
@@ -592,9 +499,6 @@ AsyncEngine::Stats AsyncEngine::stats() const {
     s.queue_depth = queue_.size();
   }
   s.cancelled_before_run = cancelled_before_run_.Value();
-  s.batched_builds = batched_builds_.Value();
-  s.batched_edges_scanned = batched_edges_scanned_.Value();
-  s.batched_solo_edges = batched_solo_edges_.Value();
   const SnapshotManager::Stats snap = snapshots_.stats();
   s.updates = snap.updates;
   s.compactions = snap.compactions;

@@ -84,14 +84,6 @@ struct AsyncEngineOptions {
   /// ticket completes as QueryState::kUnsatisfiable without ever queueing.
   bool enable_oracle = false;
   LiveOracleOptions oracle;
-  /// Opportunistic batched index builds (DESIGN.md §11): a worker claiming
-  /// a cache-missing submission peeks at the co-pending queue and, when at
-  /// least this many same-snapshot same-fingerprint cache-missing queries
-  /// (its own included) are waiting, fuses their index builds into one
-  /// multi-source BFS sweep and publishes every slab through the cache —
-  /// the queued tickets then hit the cache when claimed. 0 disables.
-  /// Effective only with enable_cache and admission_min_uses == 1.
-  uint32_t batch_build_min = 4;
 };
 
 /// Per-submission knobs.
@@ -252,12 +244,9 @@ class AsyncEngine {
     uint64_t version = 0;
     size_t queue_depth = 0;       // queued, not yet claimed
     IndexCacheStats cache;        // zeros when the cache is disabled
-    /// Batched-build activity (DESIGN.md §11): indexes published from
-    /// fused multi-source sweeps, the shared sweeps' actual edge scans,
-    /// and the solo-equivalent sum those builds would have cost.
+    /// Always 0; engines no longer fuse builds (DESIGN.md §11): every
+    /// cache miss builds solo on the worker that claimed it.
     uint64_t batched_builds = 0;
-    uint64_t batched_edges_scanned = 0;
-    uint64_t batched_solo_edges = 0;
   };
   Stats stats() const;
 
@@ -302,17 +291,6 @@ class AsyncEngine {
   /// the helpers that joined.
   void RecruitIdleWorkers(const std::shared_ptr<SplitBarrier>& barrier,
                           SplitPhase& phase, uint32_t worker);
-
-  /// Opportunistic batched prebuild (DESIGN.md §11): when `task`'s index
-  /// is a cache miss, drains co-pending same-snapshot same-fingerprint
-  /// cache-missing submissions from the queue *by key only* (they stay
-  /// queued) into one fused BuildBatch and publishes every member's slab
-  /// through the cache's single-flight latch. Per-member cancel/deadline
-  /// come from each ticket; a tripped member is skipped (it will build
-  /// solo at claim time and report its own terminal state). One batch at
-  /// a time engine-wide (batch_mutex_) bounds the K-wide field memory; a
-  /// busy builder or any failure just falls back to solo builds.
-  void MaybeBatchPrebuild(Submission& task);
 
   /// True when some published split phase still has unclaimed units —
   /// part of the worker wait predicate; queue_mutex_ must be held.
@@ -382,14 +360,6 @@ class AsyncEngine {
   obs::ShardedCounter cancelled_before_run_;
   /// Admission-time oracle rejections (written under queue_mutex_).
   obs::ShardedCounter oracle_rejects_;
-
-  /// Batched-prebuild state (MaybeBatchPrebuild): one builder guarded by a
-  /// try_lock mutex — concurrent claimers skip batching rather than queue.
-  std::mutex batch_mutex_;
-  IndexBuilder batch_builder_;
-  obs::ShardedCounter batched_builds_;
-  obs::ShardedCounter batched_edges_scanned_;
-  obs::ShardedCounter batched_solo_edges_;
 
   std::mutex update_mutex_;  // serializes Prepare..BeginEpoch..Publish
   std::mutex shutdown_mutex_;  // serializes the runner join

@@ -1,7 +1,7 @@
-// Differential tests for the batched multi-source build path (DESIGN.md
-// §11): BatchedDistanceField vs K solo ComputeWith runs, BuildBatch vs K
-// solo Builds, and the engine-level batched prebuild vs the unbatched
-// engine. The batched path must be invisible except in the counters.
+// Differential tests for the batched multi-source build kernel (DESIGN.md
+// §11): BatchedDistanceField vs K solo ComputeWith runs and BuildBatch vs
+// K solo Builds. The batched path must be invisible except in the
+// counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +11,8 @@
 #include "core/index.h"
 #include "core/path_enum.h"
 #include "core/sink.h"
-#include "engine/query_engine.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
-#include "live/live_oracle.h"
 #include "test_util.h"
 #include "workload/query_gen.h"
 
@@ -268,96 +266,6 @@ TEST(BuildBatchTest, CancelledMemberGetsInterruptedStubOnly) {
   ASSERT_FALSE(built[0].build_stats().interrupted);
   const LightweightIndex solo = builder.Build(g, queries[0]);
   EXPECT_EQ(PathsVia(g, built[0]), PathsVia(g, solo));
-}
-
-// ---------------------------------------------------------------------------
-// Engine-level batched prebuild.
-// ---------------------------------------------------------------------------
-
-TEST(EngineBatchedPrebuildTest, MatchesUnbatchedEngine) {
-  const Graph g = ErdosRenyi(300, 2400, 11);
-  QueryGenOptions qopts;
-  qopts.count = 24;
-  qopts.hops = 4;
-  qopts.seed = 11;
-  std::vector<Query> queries = GenerateQueries(g, qopts);
-  // Distinct keys only: the prebuild groups by key, duplicates dedup away.
-  std::sort(queries.begin(), queries.end(), [](const Query& a, const Query& b) {
-    return std::tie(a.source, a.target) < std::tie(b.source, b.target);
-  });
-  queries.erase(std::unique(queries.begin(), queries.end(),
-                            [](const Query& a, const Query& b) {
-                              return a.source == b.source &&
-                                     a.target == b.target;
-                            }),
-                queries.end());
-  ASSERT_GE(queries.size(), 4u);
-
-  EngineOptions on;
-  on.num_workers = 4;
-  on.enable_cache = true;
-  on.batch_build_min = 4;
-  EngineOptions off = on;
-  off.batch_build_min = 0;
-  QueryEngine engine_on(g, on);
-  QueryEngine engine_off(g, off);
-  const BatchResult r_on = engine_on.CountBatch(queries);
-  const BatchResult r_off = engine_off.CountBatch(queries);
-  ASSERT_TRUE(r_on.ok());
-  ASSERT_TRUE(r_off.ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(r_on.stats[i].counters.num_results,
-              r_off.stats[i].counters.num_results)
-        << "query " << i;
-  }
-  // A cold cache with >= batch_build_min distinct missing keys must batch.
-  EXPECT_GT(r_on.batched_builds, 0u);
-  EXPECT_EQ(r_off.batched_builds, 0u);
-  EXPECT_LT(r_on.batched_edges_scanned, r_on.batched_solo_edges);
-
-  // The prebuilt indexes are real cache entries: a second pass is all hits
-  // with no further batched builds.
-  const BatchResult again = engine_on.CountBatch(queries);
-  EXPECT_EQ(again.batched_builds, 0u);
-  EXPECT_EQ(again.cache.index_misses, 0u);
-}
-
-TEST(EngineBatchedPrebuildTest, RejectedGroupsNeverEnterTheFusedPrebuild) {
-  // A batch mixing satisfiable and oracle-certified-unsatisfiable queries:
-  // the unsatisfiable groups are shed at RunBatch's gate before dispatch,
-  // so the fused prebuild builds exactly the satisfiable members; the shed
-  // ones finish as kUnsatisfiable and the co-members are exact.
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  for (VertexId v = 0; v < 19; ++v) edges.push_back({v, v + 1});
-  for (VertexId v = 20; v < 39; ++v) edges.push_back({v, v + 1});
-  const Graph g = Graph::FromEdges(40, edges);
-  const LiveDistanceOracle oracle(g);  // version 0: the base itself
-
-  std::vector<Query> queries;
-  for (VertexId s = 0; s < 4; ++s) {
-    queries.push_back(Query{s, static_cast<VertexId>(s + 5), 6});   // sat
-    queries.push_back(Query{s, static_cast<VertexId>(s + 25), 6});  // unsat
-  }
-  EngineOptions opts;
-  opts.num_workers = 2;
-  opts.enable_cache = true;
-  opts.batch_build_min = 2;
-  QueryEngine engine(g, opts);
-  engine.SetLiveOracle(&oracle);
-  const BatchResult r = engine.CountBatch(queries);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.batched_builds, 4u);  // the four satisfiable members only
-  EXPECT_EQ(r.cache.index_misses, 4u);
-  EXPECT_EQ(engine.Stats().oracle_rejects, 4u);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (i % 2 == 0) {
-      EXPECT_EQ(r.states[i], QueryState::kOk) << "query " << i;
-      EXPECT_EQ(r.stats[i].counters.num_results, 1u) << "query " << i;
-    } else {
-      EXPECT_EQ(r.states[i], QueryState::kUnsatisfiable) << "query " << i;
-      EXPECT_EQ(r.stats[i].counters.num_results, 0u) << "query " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // zero-allocation steady state of the pooled scratch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/path_enum.h"
@@ -512,6 +514,50 @@ TEST(PathEnumeratorTest, SequentialScratchStableAcrossRepeats) {
 // ---------------------------------------------------------------------------
 
 // Two disconnected path components: 0..9 and 10..19.
+TEST(QueryEngineTest, ColdDistinctKeysMatchSerialRun) {
+  // Every cache miss builds solo on the worker that claims it: on a cold
+  // cache a batch of distinct keys must count exactly like serial runs,
+  // and the built indexes are published, so a second pass never misses.
+  const Graph g = ErdosRenyi(300, 2400, 11);
+  QueryGenOptions qopts;
+  qopts.count = 24;
+  qopts.hops = 4;
+  qopts.seed = 11;
+  std::vector<Query> queries = GenerateQueries(g, qopts);
+  std::sort(queries.begin(), queries.end(), [](const Query& a, const Query& b) {
+    return std::tie(a.source, a.target) < std::tie(b.source, b.target);
+  });
+  queries.erase(std::unique(queries.begin(), queries.end(),
+                            [](const Query& a, const Query& b) {
+                              return a.source == b.source &&
+                                     a.target == b.target;
+                            }),
+                queries.end());
+  ASSERT_GE(queries.size(), 4u);
+
+  QueryEngine engine(g, {.num_workers = 4, .enable_cache = true});
+  const BatchResult cold = engine.CountBatch(queries);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold.cache.index_misses, queries.size());
+  EXPECT_EQ(cold.batched_builds, 0u);
+  PathEnumerator serial(g);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    CountingSink sink;
+    const QueryStats expected = serial.Run(queries[i], sink);
+    EXPECT_EQ(cold.stats[i].counters.num_results,
+              expected.counters.num_results)
+        << "query " << i;
+  }
+
+  const BatchResult again = engine.CountBatch(queries);
+  EXPECT_EQ(again.cache.index_misses, 0u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(again.stats[i].counters.num_results,
+              cold.stats[i].counters.num_results)
+        << "query " << i;
+  }
+}
+
 Graph TwoComponentGraph() {
   std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId v = 0; v < 9; ++v) edges.push_back({v, v + 1});
@@ -547,6 +593,39 @@ TEST(EngineOracleTest, UnsatisfiableQueriesReportTerminalStateInAllModes) {
     EXPECT_EQ(r.states[1], QueryState::kOk);
     EXPECT_EQ(sinks[1].count(), 1u);  // the one 6-hop-bounded 0..5 path
     EXPECT_EQ(engine.Stats().oracle_rejects, 2u) << "split=" << split;
+  }
+}
+
+TEST(EngineOracleTest, RejectedGroupsNeverBuild) {
+  // A batch mixing satisfiable and oracle-certified-unsatisfiable queries:
+  // the unsatisfiable groups are shed at RunBatch's gate before dispatch,
+  // so exactly the satisfiable members build an index; the shed ones
+  // finish as kUnsatisfiable and the co-members are exact.
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < 19; ++v) edges.push_back({v, v + 1});
+  for (VertexId v = 20; v < 39; ++v) edges.push_back({v, v + 1});
+  const Graph g = Graph::FromEdges(40, edges);
+  const LiveDistanceOracle oracle(g);  // version 0: the base itself
+
+  std::vector<Query> queries;
+  for (VertexId s = 0; s < 4; ++s) {
+    queries.push_back(Query{s, static_cast<VertexId>(s + 5), 6});   // sat
+    queries.push_back(Query{s, static_cast<VertexId>(s + 25), 6});  // unsat
+  }
+  QueryEngine engine(g, {.num_workers = 2, .enable_cache = true});
+  engine.SetLiveOracle(&oracle);
+  const BatchResult r = engine.CountBatch(queries);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.cache.index_misses, 4u);  // the four satisfiable members only
+  EXPECT_EQ(engine.Stats().oracle_rejects, 4u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (i % 2 == 0) {
+      EXPECT_EQ(r.states[i], QueryState::kOk) << "query " << i;
+      EXPECT_EQ(r.stats[i].counters.num_results, 1u) << "query " << i;
+    } else {
+      EXPECT_EQ(r.states[i], QueryState::kUnsatisfiable) << "query " << i;
+      EXPECT_EQ(r.stats[i].counters.num_results, 0u) << "query " << i;
+    }
   }
 }
 

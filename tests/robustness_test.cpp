@@ -15,7 +15,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,8 @@
 #include "core/path_enum.h"
 #include "core/reference.h"
 #include "core/thread_pool.h"
+#include "engine/index_cache.h"
+#include "engine/query_context.h"
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -360,6 +364,57 @@ TEST_F(RobustnessTest, SplitDeadlineDuringBuildShortCircuits) {
 
   EXPECT_EQ(result.states[0], QueryState::kDeadlineExceeded);
   EXPECT_TRUE(sink.paths().empty());
+}
+
+TEST_F(RobustnessTest, InterruptedBuildReportsAlikeOnEveryPath) {
+  // The serial, cached and split paths share one interrupted-build
+  // finalizer: a deadline-tripped build reports the same flags, zero
+  // results and no enumeration time on each, and its total time covers
+  // the build.
+  const fault::ScopedFault slow(fault::Site::kIndexBuildWave, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  });
+  const Graph g = PaperExampleGraph();
+  const Query q = PaperExampleQuery();
+  EnumOptions opts;
+  opts.time_limit_ms = 1.0;
+
+  std::vector<std::pair<std::string, QueryStats>> runs;
+  {
+    PathEnumerator pe(g);
+    CollectingSink sink;
+    runs.emplace_back("serial", pe.Run(q, sink, opts));
+    EXPECT_TRUE(sink.paths().empty());
+  }
+  {
+    QueryContext ctx(g);
+    IndexCache cache(IndexCacheOptions{});
+    CollectingSink sink;
+    runs.emplace_back("cached", ctx.RunCached(q, sink, opts, &cache));
+    EXPECT_TRUE(sink.paths().empty());
+  }
+  {
+    QueryEngine engine(g, {.num_workers = 2});
+    CollectingSink sink;
+    std::vector<Query> queries = {q};
+    std::vector<PathSink*> sinks = {&sink};
+    const BatchResult r =
+        engine.RunBatch(queries, sinks, {.query = opts, .split_branches = true});
+    runs.emplace_back("split", r.stats[0]);
+    EXPECT_TRUE(sink.paths().empty());
+  }
+  for (const auto& [path, stats] : runs) {
+    EXPECT_TRUE(stats.counters.timed_out) << path;
+    EXPECT_FALSE(stats.counters.cancelled) << path;
+    EXPECT_EQ(stats.counters.TerminalState(), QueryState::kDeadlineExceeded)
+        << path;
+    EXPECT_EQ(stats.counters.num_results, 0u) << path;
+    EXPECT_EQ(stats.enumerate_ms, 0.0) << path;
+    EXPECT_GT(stats.index_ms, 0.0) << path;
+    // The query's wall clock encloses the build's own timer.
+    EXPECT_GT(stats.total_ms, stats.index_ms) << path;
+    EXPECT_EQ(stats.response_ms, stats.total_ms) << path;
+  }
 }
 
 TEST_F(RobustnessTest, CacheBuildFailureFailsOverAndRecovers) {

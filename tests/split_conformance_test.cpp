@@ -1,8 +1,10 @@
-// Split conformance: both engines' split modes (QueryEngine::RunBatch and
-// AsyncEngine::Submit with split_branches), each with kAuto, kDfs and
-// kJoin, against the brute-force reference (core/reference.h) on small
-// sparse and dense ER, cycle-heavy and DAG graphs, for every (s, t) pair
-// and k = 1..5. Every schedule of the dependence-disjoint units must reach
+// Engine conformance: both engines' split modes (QueryEngine::RunBatch and
+// AsyncEngine::Submit with split_branches) and their plain cold-build
+// paths (a cached, deduplicating work-stealing RunBatch and plain async
+// tickets, where every cache miss builds solo on the worker that claimed
+// it), each with kAuto, kDfs and kJoin, against the brute-force reference
+// (core/reference.h) on small sparse and dense ER, cycle-heavy and DAG
+// graphs, for every (s, t) pair and k = 1..5. Every schedule must reach
 // the reference set:
 //  - unlimited runs return exactly that set;
 //  - with result_limit = 3 each run delivers exactly min(3, total)
@@ -71,7 +73,7 @@ std::vector<Query> AllQueries(const Graph& g) {
   return queries;
 }
 
-/// What one split run delivered and reported.
+/// What one run delivered and reported.
 struct Outcome {
   std::vector<std::vector<VertexId>> paths;
   QueryStats stats;
@@ -80,13 +82,15 @@ struct Outcome {
 };
 
 std::vector<Outcome> RunSync(const Graph& g, const std::vector<Query>& queries,
-                             const EnumOptions& opts) {
-  QueryEngine engine(g, {.num_workers = kWorkers});
+                             const EnumOptions& opts, bool split) {
+  // The split path runs uncached; the plain path with the cache on and
+  // in-batch dedup (the default), through the work-stealing scheduler.
+  QueryEngine engine(g, {.num_workers = kWorkers, .enable_cache = !split});
   std::vector<CollectingSink> sinks(queries.size());
   std::vector<PathSink*> sink_ptrs;
   for (CollectingSink& sink : sinks) sink_ptrs.push_back(&sink);
   const BatchResult r = engine.RunBatch(
-      queries, sink_ptrs, {.query = opts, .split_branches = true});
+      queries, sink_ptrs, {.query = opts, .split_branches = split});
   std::vector<Outcome> out(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     out[i] = {sinks[i].paths(), r.stats[i], r.states[i], r.errors[i]};
@@ -96,7 +100,7 @@ std::vector<Outcome> RunSync(const Graph& g, const std::vector<Query>& queries,
 
 std::vector<Outcome> RunAsync(const Graph& g,
                               const std::vector<Query>& queries,
-                              const EnumOptions& opts) {
+                              const EnumOptions& opts, bool split) {
   AsyncEngineOptions engine_opts;
   engine_opts.num_workers = kWorkers;
   AsyncEngine engine(g, engine_opts);
@@ -105,7 +109,7 @@ std::vector<Outcome> RunAsync(const Graph& g,
   for (size_t i = 0; i < queries.size(); ++i) {
     tickets.push_back(engine.Submit(
         queries[i], sinks[i],
-        SubmitOptions{.query = opts, .split_branches = true}));
+        SubmitOptions{.query = opts, .split_branches = split}));
   }
   std::vector<Outcome> out(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -134,16 +138,22 @@ TEST_P(SplitConformanceTest, MatchesBruteForceOnEveryPair) {
         CountingSink sink;
         serial_stats.push_back(serial.Run(q, sink, opts));
       }
-      for (const bool async : {false, true}) {
+      // Every run starts on a fresh engine: the plain paths' caches are
+      // cold.
+      for (const auto& [async, split] : {std::pair{false, true},
+                                         {true, true},
+                                         {false, false},
+                                         {true, false}}) {
         const std::vector<Outcome> got =
-            async ? RunAsync(named.graph, queries, opts)
-                  : RunSync(named.graph, queries, opts);
+            async ? RunAsync(named.graph, queries, opts, split)
+                  : RunSync(named.graph, queries, opts, split);
         for (size_t i = 0; i < queries.size(); ++i) {
           const Query& q = queries[i];
           const Outcome& o = got[i];
           const EnumCounters& seq = serial_stats[i].counters;
           const std::string where =
-              named.name + (async ? " async" : " sync") + " q=(" +
+              named.name + (async ? " async" : " sync") +
+              (split ? " split" : " plain") + " q=(" +
               std::to_string(q.source) + "," + std::to_string(q.target) +
               "," + std::to_string(q.hops) + ")" +
               (limited ? " limit=3" : "");
