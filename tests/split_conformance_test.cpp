@@ -1,18 +1,27 @@
 // Engine conformance: both engines' split modes (QueryEngine::RunBatch and
-// AsyncEngine::Submit with split_branches) and their plain cold-build
-// paths (a cached, deduplicating work-stealing RunBatch and plain async
-// tickets, where every cache miss builds solo on the worker that claimed
-// it), each with kAuto, kDfs and kJoin, against the brute-force reference
-// (core/reference.h) on small sparse and dense ER, cycle-heavy and DAG
-// graphs, for every (s, t) pair and k = 1..5. Every schedule must reach
-// the reference set:
+// AsyncEngine::Submit with split_branches) and their plain paths (a cached,
+// deduplicating RunBatch and plain async tickets), each with kAuto, kDfs
+// and kJoin, against the brute-force reference (core/reference.h) on small
+// sparse and dense ER, cycle-heavy and DAG graphs, for every (s, t) pair
+// and k = 1..5. Every driver runs three ways:
+//  - cold: a fresh engine, so every cache miss builds solo;
+//  - warm: the second pass over the same queries on the same engine, so
+//    index-cache hits and (plain runs, default max_result_bytes) result-
+//    cache replay serve it;
+//  - oracle: a standing live oracle attached (QueryEngine::SetLiveOracle,
+//    AsyncEngineOptions::enable_oracle), so unsatisfiable queries are shed
+//    at the engine's rejection gate.
+// Every schedule must reach the reference set:
 //  - unlimited runs return exactly that set;
 //  - with result_limit = 3 each run delivers exactly min(3, total)
 //    distinct valid paths and reports the serial run's terminal state and
-//    hit_result_limit / stopped_by_sink flags.
+//    hit_result_limit / stopped_by_sink flags;
+//  - a query shed as kUnsatisfiable has an empty reference set and
+//    delivered nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +31,7 @@
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "live/async_engine.h"
+#include "live/live_oracle.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -81,47 +91,109 @@ struct Outcome {
   std::string error;
 };
 
-std::vector<Outcome> RunSync(const Graph& g, const std::vector<Query>& queries,
-                             const EnumOptions& opts, bool split) {
-  // The split path runs uncached; the plain path with the cache on and
-  // in-batch dedup (the default), through the work-stealing scheduler.
-  QueryEngine engine(g, {.num_workers = kWorkers, .enable_cache = !split});
+/// How a driver's engine is prepared before the checked pass.
+enum class Pass { kCold, kWarm, kOracle };
+
+struct Driver {
+  bool async = false;
+  bool split = false;
+  Pass pass = Pass::kCold;
+
+  std::string Name() const {
+    const char* pass_name = pass == Pass::kCold   ? "cold"
+                            : pass == Pass::kWarm ? "warm"
+                                                  : "oracle";
+    return std::string(async ? "async" : "sync") +
+           (split ? " split " : " plain ") + pass_name;
+  }
+};
+
+std::vector<Driver> Drivers() {
+  std::vector<Driver> drivers;
+  for (const Pass pass : {Pass::kCold, Pass::kWarm, Pass::kOracle}) {
+    for (const bool async : {false, true}) {
+      for (const bool split : {true, false}) {
+        drivers.push_back({async, split, pass});
+      }
+    }
+  }
+  return drivers;
+}
+
+/// The checked pass's outcomes, plus the cache hits it saw (warm passes
+/// must be served by the cache) and the engine's oracle rejections.
+struct DriverRun {
+  std::vector<Outcome> outcomes;
+  uint64_t cache_hits = 0;
+  uint64_t oracle_rejects = 0;
+};
+
+DriverRun RunSync(const Graph& g, const std::vector<Query>& queries,
+                  const EnumOptions& opts, const Driver& d) {
+  // The cold split path runs uncached; every other sync path with the
+  // cache on and, for plain batches, in-batch dedup (the default).
+  const bool cached = !d.split || d.pass == Pass::kWarm;
+  QueryEngine engine(g, {.num_workers = kWorkers, .enable_cache = cached});
+  std::unique_ptr<LiveDistanceOracle> oracle;
+  if (d.pass == Pass::kOracle) {
+    oracle = std::make_unique<LiveDistanceOracle>(g);
+    engine.SetLiveOracle(oracle.get());
+  }
+  const BatchOptions batch{.query = opts, .split_branches = d.split};
+  if (d.pass == Pass::kWarm) engine.CountBatch(queries, batch);
   std::vector<CollectingSink> sinks(queries.size());
   std::vector<PathSink*> sink_ptrs;
   for (CollectingSink& sink : sinks) sink_ptrs.push_back(&sink);
-  const BatchResult r = engine.RunBatch(
-      queries, sink_ptrs, {.query = opts, .split_branches = split});
-  std::vector<Outcome> out(queries.size());
+  const BatchResult r = engine.RunBatch(queries, sink_ptrs, batch);
+  DriverRun run;
+  run.outcomes.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    out[i] = {sinks[i].paths(), r.stats[i], r.states[i], r.errors[i]};
+    run.outcomes[i] = {sinks[i].paths(), r.stats[i], r.states[i],
+                       r.errors[i]};
   }
-  return out;
+  run.cache_hits = r.cache.index_hits + r.cache.result_hits;
+  run.oracle_rejects = engine.Stats().oracle_rejects;
+  return run;
 }
 
-std::vector<Outcome> RunAsync(const Graph& g,
-                              const std::vector<Query>& queries,
-                              const EnumOptions& opts, bool split) {
+DriverRun RunAsync(const Graph& g, const std::vector<Query>& queries,
+                   const EnumOptions& opts, const Driver& d) {
   AsyncEngineOptions engine_opts;
   engine_opts.num_workers = kWorkers;
+  engine_opts.enable_oracle = d.pass == Pass::kOracle;
   AsyncEngine engine(g, engine_opts);
+  const SubmitOptions submit{.query = opts, .split_branches = d.split};
+  if (d.pass == Pass::kWarm) {
+    std::vector<CountingSink> warm(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      engine.Submit(queries[i], warm[i], submit);
+    }
+    engine.Drain();
+  }
+  const IndexCacheStats before = engine.stats().cache;
   std::vector<CollectingSink> sinks(queries.size());
   std::vector<QueryTicket> tickets;
   for (size_t i = 0; i < queries.size(); ++i) {
-    tickets.push_back(engine.Submit(
-        queries[i], sinks[i],
-        SubmitOptions{.query = opts, .split_branches = split}));
+    tickets.push_back(engine.Submit(queries[i], sinks[i], submit));
   }
-  std::vector<Outcome> out(queries.size());
+  DriverRun run;
+  run.outcomes.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const QueryStats stats = tickets[i].Wait();
-    out[i] = {sinks[i].paths(), stats, tickets[i].state(), tickets[i].error()};
+    run.outcomes[i] = {sinks[i].paths(), stats, tickets[i].state(),
+                       tickets[i].error()};
   }
-  return out;
+  const IndexCacheStats delta = engine.stats().cache - before;
+  run.cache_hits = delta.index_hits + delta.result_hits;
+  run.oracle_rejects = engine.stats().oracle_rejects;
+  return run;
 }
 
 class SplitConformanceTest : public ::testing::TestWithParam<Method> {};
 
 TEST_P(SplitConformanceTest, MatchesBruteForceOnEveryPair) {
+  const std::vector<Driver> drivers = Drivers();
+  std::vector<uint64_t> oracle_rejects(drivers.size(), 0);
   for (const NamedGraph& named : Graphs()) {
     const std::vector<Query> queries = AllQueries(named.graph);
     std::vector<PathSet> expected;
@@ -138,32 +210,38 @@ TEST_P(SplitConformanceTest, MatchesBruteForceOnEveryPair) {
         CountingSink sink;
         serial_stats.push_back(serial.Run(q, sink, opts));
       }
-      // Every run starts on a fresh engine: the plain paths' caches are
-      // cold.
-      for (const auto& [async, split] : {std::pair{false, true},
-                                         {true, true},
-                                         {false, false},
-                                         {true, false}}) {
-        const std::vector<Outcome> got =
-            async ? RunAsync(named.graph, queries, opts, split)
-                  : RunSync(named.graph, queries, opts, split);
+      for (size_t di = 0; di < drivers.size(); ++di) {
+        const Driver& d = drivers[di];
+        const DriverRun run = d.async
+                                  ? RunAsync(named.graph, queries, opts, d)
+                                  : RunSync(named.graph, queries, opts, d);
+        oracle_rejects[di] += run.oracle_rejects;
+        if (d.pass == Pass::kWarm) {
+          EXPECT_GT(run.cache_hits, 0u)
+              << named.name << " " << d.Name() << ": no cache hit";
+        }
         for (size_t i = 0; i < queries.size(); ++i) {
           const Query& q = queries[i];
-          const Outcome& o = got[i];
+          const Outcome& o = run.outcomes[i];
           const EnumCounters& seq = serial_stats[i].counters;
           const std::string where =
-              named.name + (async ? " async" : " sync") +
-              (split ? " split" : " plain") + " q=(" +
+              named.name + " " + d.Name() + " q=(" +
               std::to_string(q.source) + "," + std::to_string(q.target) +
               "," + std::to_string(q.hops) + ")" +
               (limited ? " limit=3" : "");
           ASSERT_TRUE(o.error.empty()) << where << ": " << o.error;
-          EXPECT_EQ(o.state, seq.TerminalState()) << where;
-          EXPECT_EQ(o.stats.method, serial_stats[i].method) << where;
           const PathSet got_set = ToSet(o.paths);
           EXPECT_EQ(got_set.size(), o.paths.size())
               << where << ": a path delivered twice";
           EXPECT_EQ(o.stats.counters.num_results, o.paths.size()) << where;
+          if (o.state == QueryState::kUnsatisfiable) {
+            EXPECT_EQ(d.pass, Pass::kOracle) << where;
+            EXPECT_TRUE(expected[i].empty()) << where << ": wrong rejection";
+            EXPECT_TRUE(o.paths.empty()) << where;
+            continue;
+          }
+          EXPECT_EQ(o.state, seq.TerminalState()) << where;
+          EXPECT_EQ(o.stats.method, serial_stats[i].method) << where;
           if (!limited) {
             EXPECT_EQ(got_set, expected[i]) << where;
             continue;
@@ -181,6 +259,12 @@ TEST_P(SplitConformanceTest, MatchesBruteForceOnEveryPair) {
         }
       }
     }
+  }
+  // The DAG's backward pairs are unsatisfiable: every oracle driver must
+  // have shed some of them at its gate.
+  for (size_t di = 0; di < drivers.size(); ++di) {
+    if (drivers[di].pass != Pass::kOracle) continue;
+    EXPECT_GT(oracle_rejects[di], 0u) << drivers[di].Name();
   }
 }
 
