@@ -410,8 +410,8 @@ int main() {
 
   // --- Intra-query splitting on heavy queries (DESIGN.md §8). ------------
   // A few heavy queries (larger hop bound, generous limit) run through the
-  // engine once per query per worker (split_off) and once ganging the
-  // whole pool per query (split_on). On a multi-core host split_on should
+  // engine once per query per worker (split_off) and once spread across
+  // every worker per query (split_on). On a multi-core host split_on should
   // cut the heavy-query latency by roughly the core count's share; on a
   // single-core host the two should tie (the JSON records
   // hardware_concurrency for exactly this reason).

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
             << stats.scratch_bytes / 1024.0 << " KiB\n";
 
   // Few heavy queries? Let each query fan its units — DFS branches or the
-  // split join's half and probe units — across the whole pool instead.
+  // split join's half and probe units — across every worker instead.
   BatchOptions split = opts;
   split.split_branches = true;
   const std::vector<Query> heavy(queries.begin(),

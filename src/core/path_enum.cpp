@@ -7,11 +7,8 @@
 
 namespace pathenum {
 
-namespace {
-
-/// Folds enumeration counters and phase timings into the query report.
-void Finalize(QueryStats& stats, const EnumCounters& counters,
-              double enumerate_ms, double total_ms) {
+void FinalizeRun(QueryStats& stats, const EnumCounters& counters,
+                 double enumerate_ms, double total_ms) {
   stats.counters = counters;
   stats.enumerate_ms = enumerate_ms;
   stats.total_ms = total_ms;
@@ -22,8 +19,6 @@ void Finalize(QueryStats& stats, const EnumCounters& counters,
                           ? preprocessing + counters.response_ms
                           : total_ms;
 }
-
-}  // namespace
 
 IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& q,
                                                       const EnumOptions& opts) {
@@ -52,7 +47,7 @@ void FinalizeInterruptedBuild(const LightweightIndex& index, double total_ms,
   }
   stats.bfs_ms = index.build_stats().bfs_ms;
   stats.index_ms = index.build_stats().total_ms;
-  Finalize(stats, counters, 0.0, total_ms);
+  FinalizeRun(stats, counters, 0.0, total_ms);
 }
 
 QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
@@ -149,7 +144,7 @@ void PathEnumerator::ExecuteOnIndex(const LightweightIndex& index,
   } else {
     counters = dfs_.Run(index, sink, opts);
   }
-  Finalize(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
+  FinalizeRun(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
 }
 
 QueryStats PathEnumerator::RunConstrained(const Query& q,
@@ -211,7 +206,7 @@ QueryStats PathEnumerator::RunConstrained(const Query& q,
     // Predicate-only: plain DFS on the filtered index, pooled scratch.
     counters = dfs_.Run(index, sink, opts);
   }
-  Finalize(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
+  FinalizeRun(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
   return stats;
 }
 

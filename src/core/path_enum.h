@@ -123,11 +123,18 @@ class PathEnumerator {
   BumpArena arena_;
 };
 
+/// Folds a finished enumeration's `counters` and timings into `stats`:
+/// `enumerate_ms` and `total_ms` (build included) as measured, and the
+/// response time as the preprocessing time plus the time to the
+/// response_target-th result (the whole query time if never reached). The
+/// one timing finalizer of the serial, cached and split execution paths.
+void FinalizeRun(QueryStats& stats, const EnumCounters& counters,
+                 double enumerate_ms, double total_ms);
+
 /// Fills `stats` for a query whose index build was control-tripped
 /// (deadline or cancel): no enumeration ran, zero results, the matching
 /// terminal flag set, the build's timings charged and `total_ms` — the
 /// query's wall time so far, build included — as total and response time.
-/// The one finalizer of the serial, cached and split execution paths.
 void FinalizeInterruptedBuild(const LightweightIndex& index, double total_ms,
                               QueryStats& stats);
 

@@ -13,20 +13,11 @@ size_t SplitScratch::Bytes() const {
   return bytes;
 }
 
-QueryStats QueryContext::Run(const Query& q, PathSink& sink,
-                             const EnumOptions& opts) {
-  // Count only queries that actually executed: validation throws before
-  // any work happens.
-  const QueryStats stats = enumerator_.Run(q, sink, opts);
-  ++queries_run_;
-  return stats;
-}
-
 QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
                                    const EnumOptions& opts, IndexCache* cache,
                                    obs::QuerySpan* span) {
   if (cache == nullptr) {
-    const QueryStats stats = Run(q, sink, opts);
+    const QueryStats stats = enumerator_.Run(q, sink, opts);
     // No cache: acquire and enumeration are fused inside Run; the whole
     // run is attributed to the enumerate stage.
     if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
@@ -51,21 +42,15 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
       }
       const QueryStats stats = ReplayCachedResult(*cached, sink, opts);
       if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
-      ++queries_run_;
       return stats;
     }
   }
 
-  const IndexBuilder::Options build_opts =
-      PathEnumerator::BuildOptionsFor(q, opts);
-  const CacheKey index_key{q.source, q.target, q.hops,
-                           IndexOptionsFingerprint(build_opts)};
-  bool index_hit = false;
-  const std::shared_ptr<const LightweightIndex> index = cache->GetOrBuild(
-      index_key, [&] { return enumerator_.BuildIndex(q, build_opts); },
-      &index_hit, view_version);
+  QueryStats acquired;
+  const std::shared_ptr<const LightweightIndex> index = AcquireIndex(
+      q, PathEnumerator::BuildOptionsFor(q, opts), cache, acquired);
   if (span != nullptr) {
-    span->SetIndexOutcome(index_hit, false);
+    span->SetIndexOutcome(acquired.index_cache_hit, false);
     span->Mark(obs::SpanStage::kIndexAcquire);
   }
 
@@ -74,7 +59,6 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
     // build is never published or handed to waiters, so it is always ours).
     QueryStats stats;
     FinalizeInterruptedBuild(*index, total.ElapsedMs(), stats);
-    ++queries_run_;
     return stats;
   }
 
@@ -91,15 +75,13 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
     stats = enumerator_.RunWithIndex(*index, sink, opts);
   }
   if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
-  stats.index_cache_hit = index_hit;
-  if (!index_hit) {
-    // This context paid for the build inside GetOrBuild; charge it.
-    stats.bfs_ms = index->build_stats().bfs_ms;
-    stats.index_ms = index->build_stats().total_ms;
-    stats.total_ms += stats.index_ms;
-    stats.response_ms += stats.index_ms;
-  }
-  ++queries_run_;
+  // A miss paid for the build inside AcquireIndex; charge it (a hit's
+  // build timings read 0).
+  stats.index_cache_hit = acquired.index_cache_hit;
+  stats.bfs_ms = acquired.bfs_ms;
+  stats.index_ms = acquired.index_ms;
+  stats.total_ms += acquired.index_ms;
+  stats.response_ms += acquired.index_ms;
   return stats;
 }
 
@@ -129,16 +111,6 @@ std::shared_ptr<const LightweightIndex> QueryContext::AcquireIndex(
   stats.index_edges = index->num_edges();
   stats.index_bytes = index->MemoryBytes();
   return index;
-}
-
-QueryStats QueryContext::RunConstrained(const Query& q,
-                                        const PathConstraints& constraints,
-                                        PathSink& sink,
-                                        const EnumOptions& opts) {
-  const QueryStats stats =
-      enumerator_.RunConstrained(q, constraints, sink, opts);
-  ++queries_run_;
-  return stats;
 }
 
 }  // namespace pathenum

@@ -1,7 +1,8 @@
-// Per-worker reusable query state. Each engine worker owns exactly one
-// QueryContext for its whole lifetime; everything a query needs scratch for
-// (index-construction BFS fields, enumerator stacks and epoch-stamped mark
-// arrays, join tuple tables, the bump arena behind per-query-sized tables)
+// Per-worker reusable query state. The scheduler (engine/scheduler.h) keeps
+// one QueryContext per worker and hands one to each task or split phase a
+// worker takes on; everything a query needs scratch for (index-construction
+// BFS fields, enumerator stacks and epoch-stamped mark arrays, join tuple
+// tables, the bump arena behind per-query-sized tables)
 // lives inside the context's PathEnumerator and is recycled query after
 // query — the zero-allocation steady state of DESIGN.md §Engine.
 #ifndef PATHENUM_ENGINE_QUERY_CONTEXT_H_
@@ -50,35 +51,24 @@ class QueryContext {
   /// Runs one query through the full PathEnum pipeline with this context's
   /// pooled scratch. Every per-run limit (deadline, result limit, sink
   /// stop) is re-armed from `opts`, so a limit hit by one query can never
-  /// leak into the next one on the same context.
-  QueryStats Run(const Query& q, PathSink& sink, const EnumOptions& opts);
-
-  /// Like Run, but under the Appendix-E constraint extensions.
-  QueryStats RunConstrained(const Query& q, const PathConstraints& constraints,
-                            PathSink& sink, const EnumOptions& opts);
-
-  /// Cache-aware Run (DESIGN.md §6): consults `cache` for a replayable
-  /// result set first, then for a shared prebuilt index (building and
-  /// publishing on miss, coalescing with concurrent builders of the same
-  /// key), and records completed runs back into the result cache. Falls
-  /// back to Run when `cache` is null. The cache may be shared across
-  /// contexts/threads; everything else in the context stays single-owner.
+  /// leak into the next one on the same context. Cache-aware (DESIGN.md
+  /// §6): consults `cache` for a replayable result set first, then for a
+  /// shared prebuilt index (AcquireIndex: building and publishing on miss,
+  /// coalescing with concurrent builders of the same key), and records
+  /// completed runs back into the result cache. Runs uncached when `cache`
+  /// is null. The cache may be shared across contexts/threads; everything
+  /// else in the context stays single-owner.
   /// `span` (optional) gets the index-acquire/enumerate stage marks and the
   /// cache-outcome flags (DESIGN.md §12); the caller owns its lifecycle
   /// (Begin before, Finish after).
   QueryStats RunCached(const Query& q, PathSink& sink, const EnumOptions& opts,
                        IndexCache* cache, obs::QuerySpan* span = nullptr);
 
-  /// Accounts duplicate queries served through one fanned-out run (batch
-  /// dedup): each duplicate counts as a served query.
-  void NoteFanout(uint64_t extra_served) { queries_run_ += extra_served; }
-
-  /// Builds — or fetches from `cache`, when one is given — the per-query
-  /// index a split query fans out over (DESIGN.md §8). `build_opts` must
-  /// come from PathEnumerator::BuildOptionsFor so split and serial
-  /// executions share cache fingerprints. Charges build stats to `stats`
-  /// on a miss and flags `stats.index_cache_hit` on a hit; always fills
-  /// the index size fields.
+  /// Builds — or fetches from `cache`, when one is given — the per-query index
+  /// of a plain (RunCached) or split (DESIGN.md §8) run. `build_opts` must come
+  /// from PathEnumerator::BuildOptionsFor so split and serial executions share
+  /// cache fingerprints. Charges build stats to `stats` on a miss and flags
+  /// `stats.index_cache_hit` on a hit; always fills the index size fields.
   std::shared_ptr<const LightweightIndex> AcquireIndex(
       const Query& q, const IndexBuilder::Options& build_opts,
       IndexCache* cache, QueryStats& stats);
@@ -92,11 +82,6 @@ class QueryContext {
   /// Scratch of the split queries this context leads.
   SplitScratch& split_scratch() { return split_scratch_; }
 
-  PathEnumerator& enumerator() { return enumerator_; }
-
-  /// Queries executed through this context since construction.
-  uint64_t queries_run() const { return queries_run_; }
-
   /// Bytes of reusable scratch currently held (see
   /// PathEnumerator::ScratchBytes), split scratch included.
   size_t ScratchBytes() const {
@@ -106,7 +91,6 @@ class QueryContext {
  private:
   PathEnumerator enumerator_;
   SplitScratch split_scratch_;
-  uint64_t queries_run_ = 0;
 };
 
 }  // namespace pathenum

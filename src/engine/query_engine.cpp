@@ -1,68 +1,13 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
-#include <limits>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 
-#include "engine/split_query.h"
 #include "util/timer.h"
 
 namespace pathenum {
 
 namespace {
-
-/// Per-worker task deques with stealing: a worker drains its own deque from
-/// the front and, when empty, steals from the back of the others. Tasks
-/// are dealt round-robin, so under even load every worker mostly touches
-/// its own deque; skew (one worker stuck on a heavy query) drains through
-/// steals without any coordination beyond the per-deque mutex.
-class WorkStealingQueues {
- public:
-  WorkStealingQueues(uint32_t workers, size_t num_tasks,
-                     obs::ShardedCounter& steals)
-      : queues_(workers), steals_(steals) {
-    for (size_t t = 0; t < num_tasks; ++t) {
-      queues_[t % workers].tasks.push_back(t);
-    }
-  }
-
-  /// Claims a task for `worker`; returns false when the batch is drained.
-  bool Pop(uint32_t worker, size_t& out) {
-    Queue& own = queues_[worker];
-    {
-      const std::lock_guard<std::mutex> lock(own.mutex);
-      if (!own.tasks.empty()) {
-        out = own.tasks.front();
-        own.tasks.pop_front();
-        return true;
-      }
-    }
-    const uint32_t n = static_cast<uint32_t>(queues_.size());
-    for (uint32_t i = 1; i < n; ++i) {
-      Queue& victim = queues_[(worker + i) % n];
-      const std::lock_guard<std::mutex> lock(victim.mutex);
-      if (!victim.tasks.empty()) {
-        out = victim.tasks.back();
-        victim.tasks.pop_back();
-        steals_.Inc();
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<size_t> tasks;
-  };
-  std::vector<Queue> queues_;
-  obs::ShardedCounter& steals_;
-};
 
 /// Delivers one run's paths to every sink of a deduplicated query group.
 /// Each sink may stop independently (and is then never called again, per
@@ -122,47 +67,106 @@ class FanoutSink : public PathSink {
   std::vector<uint64_t> delivered_;
 };
 
-}  // namespace
-
 /// A representative query plus the indices of its in-batch duplicates, with
-/// a scheduling priority (cache hits first).
-struct QueryEngine::TaskGroup {
+/// an enqueue priority (cache hits first).
+struct TaskGroup {
   size_t rep = 0;
   std::vector<size_t> extra;
   uint32_t priority = 2;  // 0 result-cache hit, 1 index-cache hit, 2 miss
+  /// Feeds every member's sink from the one run; null without duplicates.
+  std::unique_ptr<FanoutSink> fan;
 };
 
-QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts)
-    : view_(view), pool_(opts.num_workers) {
-  contexts_.reserve(pool_.num_workers());
-  for (uint32_t w = 0; w < pool_.num_workers(); ++w) {
-    contexts_.push_back(std::make_unique<QueryContext>(view_));
+/// One group per query, or — with `dedup` — one per distinct (s, t, k).
+std::vector<TaskGroup> GroupQueries(std::span<const Query> queries,
+                                    bool dedup) {
+  std::vector<TaskGroup> groups;
+  groups.reserve(queries.size());
+  std::unordered_map<CacheKey, size_t, CacheKeyHash> seen;
+  if (dedup) seen.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    if (dedup) {
+      const auto [it, inserted] =
+          seen.emplace(CacheKey{q.source, q.target, q.hops, 0}, groups.size());
+      if (!inserted) {
+        groups[it->second].extra.push_back(i);
+        continue;
+      }
+    }
+    groups.push_back({i, {}, 2, nullptr});
   }
-  if (opts.enable_cache) cache_ = std::make_unique<IndexCache>(opts.cache);
+  return groups;
+}
 
+/// One RunBatch's TaskDone: each finished group writes its members' slots
+/// of the batch result. Groups finish on distinct workers into disjoint
+/// slots; the caller reads them after Scheduler::Drain.
+class BatchRun final : public TaskDone {
+ public:
+  BatchRun(std::vector<TaskGroup> groups, BatchResult& result,
+           obs::ShardedCounter& queries_run)
+      : groups(std::move(groups)), result_(result), queries_run_(queries_run) {}
+
+  void Finish(Task& task, const QueryStats& stats, std::string error,
+              QueryState state) override {
+    const TaskGroup& group = groups[task.slot];
+    const bool ran = DeliveredResults(state);
+    for (size_t m = 0; m <= group.extra.size(); ++m) {
+      const size_t qi = m == 0 ? group.rep : group.extra[m - 1];
+      QueryStats mine = stats;
+      if (group.fan != nullptr && ran) {
+        // Each duplicate reports the shared run's stats, adjusted to what
+        // its own sink observed: a sink that stopped early looks exactly
+        // like a standalone sink-stopped run.
+        mine.counters.num_results = group.fan->delivered(m);
+        if (group.fan->stopped(m)) {
+          mine.counters.stopped_by_sink = true;
+          mine.counters.hit_result_limit = false;
+        }
+      }
+      result_.stats[qi] = mine;
+      result_.states[qi] = ran ? mine.counters.TerminalState() : state;
+      result_.errors[qi] = error;
+    }
+    // Distributing the shared run to the duplicates' stats is the batch
+    // path's merge stage.
+    if (group.fan != nullptr && ran) task.span.Mark(obs::SpanStage::kMerge);
+    task.span.Finish(result_.states[group.rep]);
+    if (ran) queries_run_.Inc(group.extra.size() + 1);
+  }
+
+  std::vector<TaskGroup> groups;
+
+ private:
+  BatchResult& result_;
+  obs::ShardedCounter& queries_run_;
+};
+
+}  // namespace
+
+QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts)
+    : view_(view),
+      cache_(opts.enable_cache ? std::make_unique<IndexCache>(opts.cache)
+                               : nullptr),
+      scheduler_(view_, opts.num_workers) {
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
   const std::string label =
       "engine=\"" + std::to_string(reg.NextInstanceId()) + "\"";
   reg.RegisterCounter(this, "pathenum_engine_batches_total", label,
                       &batches_run_);
-  reg.RegisterCounter(this, "pathenum_engine_split_queries_total", label,
-                      &split_queries_run_);
-  reg.RegisterCounter(this, "pathenum_engine_steals_total", label, &steals_);
   reg.RegisterCounter(this, "pathenum_engine_oracle_rejects_total", label,
                       &oracle_rejects_);
-  reg.RegisterGauge(this, "pathenum_engine_workers", label,
-                    [this] { return static_cast<double>(pool_.num_workers()); });
-  // Context-derived gauges: reading races RebindGraph exactly like Stats()
+  reg.RegisterGauge(this, "pathenum_engine_workers", label, [this] {
+    return static_cast<double>(scheduler_.num_workers());
+  });
+  // Context-derived gauge: reading races RunBatch exactly like Stats()
   // does — both are caller-serialized operator surfaces.
   reg.RegisterGauge(this, "pathenum_engine_scratch_bytes", label, [this] {
-    size_t bytes = 0;
-    for (const auto& ctx : contexts_) bytes += ctx->ScratchBytes();
-    return static_cast<double>(bytes);
+    return static_cast<double>(scheduler_.ScratchBytes());
   });
   reg.RegisterGauge(this, "pathenum_engine_queries_run", label, [this] {
-    uint64_t n = split_queries_run_.Value();
-    for (const auto& ctx : contexts_) n += ctx->queries_run();
-    return static_cast<double>(n);
+    return static_cast<double>(queries_run_.Value());
   });
 }
 
@@ -177,24 +181,11 @@ void QueryEngine::InvalidateCaches() {
 }
 
 void QueryEngine::RebindGraph(const Graph& g) {
-  view_ = GraphView(g);
   // A live oracle stays attached: its epochs are keyed on snapshot version
   // AND base identity, so against an unrelated graph it simply never
   // matches (no claims) until the engine returns to the oracle's stream.
-  // Contexts hold graph references (BFS fields sized to |V|); rebuild them.
-  contexts_.clear();
-  for (uint32_t w = 0; w < pool_.num_workers(); ++w) {
-    contexts_.push_back(std::make_unique<QueryContext>(view_));
-  }
+  view_ = GraphView(g);
   InvalidateCaches();
-}
-
-uint32_t QueryEngine::ClampedWorkers(size_t tasks) const {
-  uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = pool_.num_workers();  // unknown: trust the pool size
-  uint64_t cap = std::min<uint64_t>(pool_.num_workers(), hw);
-  cap = std::min<uint64_t>(cap, std::max<size_t>(tasks, 1));
-  return static_cast<uint32_t>(std::max<uint64_t>(cap, 1));
 }
 
 BatchResult QueryEngine::RunBatch(const GraphView& view,
@@ -214,7 +205,6 @@ BatchResult QueryEngine::RunBatch(const GraphView& view,
       cache_->Clear(view.version());
     }
     view_ = view;
-    for (const auto& ctx : contexts_) ctx->Rebind(view_);
   }
   return RunBatch(queries, sinks, opts);
 }
@@ -247,7 +237,7 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   std::vector<TaskGroup> groups =
       GroupQueries(queries, opts.dedup_identical && !opts.split_branches);
 
-  // The engine's one rejection gate, on this thread before any dispatch.
+  // The engine's one rejection gate, on this thread before any enqueue.
   // Queries are untrusted input: an invalid one is rejected with a message
   // and never reaches a worker. A group the live oracle certifies as
   // dist(s,t) > k gets the complete empty result, every duplicate
@@ -288,74 +278,6 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
     return true;
   });
 
-  if (opts.split_branches) {
-    // Intra-query mode: the pool gangs up on one query at a time, every
-    // phase of it run on the same `active` workers.
-    const uint32_t active = ClampedWorkers(pool_.num_workers());
-    result.workers = active;
-    const SplitRecruit recruit = [&](SplitPhase& phase) {
-      pool_.RunOnWorkers(active, [&](uint32_t worker) {
-        phase.participate(worker, *contexts_[worker]);
-      });
-    };
-    for (const TaskGroup& group : groups) {
-      const size_t i = group.rep;
-      obs::QuerySpan span;
-      span.Begin(queries[i].source, queries[i].target, queries[i].hops);
-      span.SetSplit();
-      try {
-        // RunBatch calls are one at a time and so are split queries: the
-        // first context leads every one of them.
-        result.stats[i] = RunSplitQuery(*contexts_[0], queries[i], *sinks[i],
-                                        opts.query, cache, active, recruit,
-                                        span);
-        split_queries_run_.Inc();
-        result.states[i] = result.stats[i].counters.TerminalState();
-      } catch (const std::logic_error& e) {
-        result.errors[i] = e.what();
-        result.states[i] = QueryState::kRejected;
-      } catch (const std::exception& e) {
-        result.errors[i] = e.what();
-        result.states[i] = QueryState::kError;
-      }
-      span.Finish(result.states[i]);
-    }
-  } else {
-    RunStealing(queries, sinks, opts, cache, groups, result);
-  }
-  result.wall_ms = wall.ElapsedMs();
-  if (cache != nullptr) result.cache = cache->Stats() - before;
-  return result;
-}
-
-std::vector<QueryEngine::TaskGroup> QueryEngine::GroupQueries(
-    std::span<const Query> queries, bool dedup) {
-  std::vector<TaskGroup> groups;
-  groups.reserve(queries.size());
-  if (!dedup) {
-    for (size_t i = 0; i < queries.size(); ++i) groups.push_back({i, {}, 2});
-    return groups;
-  }
-  std::unordered_map<CacheKey, size_t, CacheKeyHash> seen;
-  seen.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    const CacheKey key{q.source, q.target, q.hops, 0};
-    const auto [it, inserted] = seen.emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back({i, {}, 2});
-    } else {
-      groups[it->second].extra.push_back(i);
-    }
-  }
-  return groups;
-}
-
-void QueryEngine::RunStealing(std::span<const Query> queries,
-                              std::span<PathSink* const> sinks,
-                              const BatchOptions& opts, IndexCache* cache,
-                              std::vector<TaskGroup>& groups,
-                              BatchResult& result) {
   // Cache-aware scheduling: replayable results first, then cached
   // indexes, then misses — hits clear the queue fast and each miss builds
   // solo on the worker that claims it.
@@ -380,82 +302,49 @@ void QueryEngine::RunStealing(std::span<const Query> queries,
                        return a.priority < b.priority;
                      });
   }
-
-  // Clamp active workers to the actual parallelism available: surplus pool
-  // threads park instead of oversubscribing the host.
-  const uint32_t active = ClampedWorkers(groups.size());
-  result.workers = active;
-  // One span per group (duplicates share their representative's run):
-  // admitted here, queue_wait measures batch start → worker claim.
-  std::vector<obs::QuerySpan> spans(groups.size());
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    const Query& q = queries[groups[gi].rep];
-    spans[gi].Begin(q.source, q.target, q.hops);
+  for (TaskGroup& g : groups) {
+    if (g.extra.empty()) continue;
+    std::vector<PathSink*> fan_sinks{sinks[g.rep]};
+    for (const size_t dup : g.extra) fan_sinks.push_back(sinks[dup]);
+    g.fan = std::make_unique<FanoutSink>(std::move(fan_sinks));
   }
-  WorkStealingQueues queues(active, groups.size(), steals_);
-  pool_.RunOnWorkers(active, [&](uint32_t worker) {
-    QueryContext& ctx = *contexts_[worker];
-    size_t task;
-    while (queues.Pop(worker, task)) {
-      const TaskGroup& group = groups[task];
-      const size_t rep = group.rep;
-      obs::QuerySpan& span = spans[task];
-      span.Mark(obs::SpanStage::kQueueWait);
-      // Per-query fault isolation: a failed query reports its error/state
-      // and the worker moves on; the context re-arms every limit per run.
-      try {
-        if (group.extra.empty()) {
-          result.stats[rep] = ctx.RunCached(queries[rep], *sinks[rep],
-                                            opts.query, cache, &span);
-          result.states[rep] = result.stats[rep].counters.TerminalState();
-          span.Finish(result.states[rep]);
-        } else {
-          std::vector<PathSink*> fan_sinks;
-          fan_sinks.reserve(group.extra.size() + 1);
-          fan_sinks.push_back(sinks[rep]);
-          for (const size_t dup : group.extra) fan_sinks.push_back(sinks[dup]);
-          FanoutSink fan(std::move(fan_sinks));
-          const QueryStats stats =
-              ctx.RunCached(queries[rep], fan, opts.query, cache, &span);
-          ctx.NoteFanout(group.extra.size());
-          // Each duplicate reports the shared run's stats, adjusted to what
-          // its own sink observed: a sink that stopped early looks exactly
-          // like a standalone sink-stopped run.
-          for (size_t m = 0; m < group.extra.size() + 1; ++m) {
-            const size_t qi = m == 0 ? rep : group.extra[m - 1];
-            QueryStats mine = stats;
-            mine.counters.num_results = fan.delivered(m);
-            if (fan.stopped(m)) {
-              mine.counters.stopped_by_sink = true;
-              mine.counters.hit_result_limit = false;
-            }
-            result.stats[qi] = mine;
-            result.states[qi] = mine.counters.TerminalState();
-          }
-          // Distributing the shared run to the duplicates' stats is the
-          // batch path's merge stage.
-          span.Mark(obs::SpanStage::kMerge);
-          span.Finish(result.states[rep]);
-        }
-      } catch (const std::logic_error& e) {
-        result.errors[rep] = e.what();
-        result.states[rep] = QueryState::kRejected;
-        for (const size_t dup : group.extra) {
-          result.errors[dup] = e.what();
-          result.states[dup] = QueryState::kRejected;
-        }
-        span.Finish(QueryState::kRejected);
-      } catch (const std::exception& e) {
-        result.errors[rep] = e.what();
-        result.states[rep] = QueryState::kError;
-        for (const size_t dup : group.extra) {
-          result.errors[dup] = e.what();
-          result.states[dup] = QueryState::kError;
-        }
-        span.Finish(QueryState::kError);
+
+  // A plain batch enqueues every group at once and idle workers claim
+  // them; a split batch enqueues one query at a time, which the claiming
+  // worker leads and the idle workers help.
+  result.workers =
+      opts.split_branches
+          ? scheduler_.num_workers()
+          : static_cast<uint32_t>(std::clamp<size_t>(
+                groups.size(), 1, scheduler_.num_workers()));
+  const auto run =
+      std::make_shared<BatchRun>(std::move(groups), result, queries_run_);
+  const auto snapshot = std::make_shared<const GraphView>(view_);
+  const size_t step = opts.split_branches ? 1 : run->groups.size();
+  for (size_t first = 0; first < run->groups.size(); first += step) {
+    {
+      Scheduler::LockedQueue queue = scheduler_.Lock();
+      for (size_t gi = first; gi < first + step; ++gi) {
+        const TaskGroup& group = run->groups[gi];
+        Task task;
+        task.query = queries[group.rep];
+        task.sink = group.fan != nullptr ? group.fan.get() : sinks[group.rep];
+        task.opts = opts.query;
+        task.split = opts.split_branches;
+        task.cache = cache;
+        task.snapshot = snapshot;
+        task.done = run;
+        task.slot = gi;
+        task.span.Begin(task.query.source, task.query.target,
+                        task.query.hops);
+        queue.Push(std::move(task));
       }
     }
-  });
+    scheduler_.Drain();
+  }
+  result.wall_ms = wall.ElapsedMs();
+  if (cache != nullptr) result.cache = cache->Stats() - before;
+  return result;
 }
 
 BatchResult QueryEngine::CountBatch(std::span<const Query> queries,
@@ -468,13 +357,9 @@ BatchResult QueryEngine::CountBatch(std::span<const Query> queries,
 
 QueryEngine::EngineStats QueryEngine::Stats() const {
   EngineStats s;
-  for (const auto& ctx : contexts_) {
-    s.scratch_bytes += ctx->ScratchBytes();
-    s.queries_run += ctx->queries_run();
-  }
-  s.queries_run += split_queries_run_.Value();
+  s.scratch_bytes = scheduler_.ScratchBytes();
+  s.queries_run = queries_run_.Value();
   s.batches_run = batches_run_.Value();
-  s.steals = steals_.Value();
   s.oracle_rejects = oracle_rejects_.Value();
   return s;
 }

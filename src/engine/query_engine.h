@@ -1,17 +1,19 @@
-// The batch QueryEngine: a persistent worker pool serving hop-constrained
-// path queries at service scale. Where PathEnumerator answers one query on
-// the calling thread, the engine keeps N workers alive across batches, each
-// with a reusable QueryContext, and schedules a batch of queries over them
-// with work stealing. Optionally a batch runs with intra-query parallelism:
-// each query's units — first-level DFS branches, or the split IDX-JOIN's
-// half/probe units — fan out across the whole pool, which is the right
-// shape for a few heavy queries rather than many small ones. See DESIGN.md
-// §5/§8.
+// The batch QueryEngine: hop-constrained path queries at service scale.
+// Where PathEnumerator answers one query on the calling thread, the engine
+// keeps N workers alive across batches on the shared Scheduler (DESIGN.md
+// §5), each with a reusable QueryContext. RunBatch groups and gates the
+// batch on the caller thread, enqueues every group, and waits for the
+// queue to drain: idle workers claim whole query groups. Optionally a
+// batch runs with intra-query parallelism: queries run one at a time, the
+// worker that claims one leads it, and its units — first-level DFS
+// branches, or the split IDX-JOIN's half/probe units — fan out to the idle
+// workers, which is the right shape for a few heavy queries rather than
+// many small ones (§8).
 //
 // With `EngineOptions::enable_cache` the engine additionally keeps a
 // cross-query IndexCache shared by all workers (DESIGN.md §6): batches
 // deduplicate identical queries (one run fans its results out to every
-// duplicate's sink), cache hits are scheduled ahead of misses, and
+// duplicate's sink), cache hits are enqueued ahead of misses, and
 // concurrent workers on the same missing key build the index exactly once.
 #ifndef PATHENUM_ENGINE_QUERY_ENGINE_H_
 #define PATHENUM_ENGINE_QUERY_ENGINE_H_
@@ -25,9 +27,8 @@
 #include "core/query.h"
 #include "core/sink.h"
 #include "engine/index_cache.h"
+#include "engine/scheduler.h"
 #include "graph/view.h"
-#include "engine/query_context.h"
-#include "core/thread_pool.h"
 #include "live/live_oracle.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -36,7 +37,8 @@ namespace pathenum {
 
 /// Engine construction knobs.
 struct EngineOptions {
-  /// Worker threads (and contexts). 0 picks hardware_concurrency().
+  /// Worker threads (and contexts): 0 picks hardware_concurrency(), and
+  /// any request is clamped to it (Scheduler::WorkersFor).
   uint32_t num_workers = 0;
 
   /// When true the engine keeps a cross-query cache of per-query indexes
@@ -54,12 +56,12 @@ struct BatchOptions {
   EnumOptions query;
 
   /// When true, queries execute one at a time with their work spread
-  /// across the whole pool (serializing sink calls per query): the planned
+  /// across the workers (serializing sink calls per query): the planned
   /// method — the same PlanExecution decision the serial path makes — runs
   /// either as fanned-out first-level DFS branches or as the split
   /// IDX-JOIN's independent half/probe units (DESIGN.md §8). When false
-  /// (default), each query runs entirely on one worker and workers steal
-  /// whole queries from each other.
+  /// (default), each query runs entirely on the one worker that claimed
+  /// it off the shared queue.
   bool split_branches = false;
 
   /// Consult/populate the engine's cross-query cache (no-op when the
@@ -95,8 +97,8 @@ struct BatchResult {
   std::vector<std::string> errors;
   std::vector<QueryState> states;
   double wall_ms = 0.0;
-  /// Workers that actually executed the batch — clamped to
-  /// min(pool, tasks, hardware cores), not the pool size.
+  /// Workers the batch could occupy: min(workers, tasks) for a plain batch,
+  /// every worker for a split one.
   uint32_t workers = 0;
   /// Cache activity during this batch (all zeros without a cache): hits,
   /// misses, evictions and current byte gauges.
@@ -127,9 +129,9 @@ struct BatchResult {
   }
 };
 
-/// Thread-pooled batch query engine. One instance per graph/session; the
-/// bound graph/view must outlive it. RunBatch may be called any number of
-/// times, from one thread at a time.
+/// Batch query engine over a persistent worker scheduler. One instance per
+/// graph/session; the bound graph/view must outlive it. RunBatch may be called
+/// any number of times, from one thread at a time.
 class QueryEngine {
  public:
   /// Accepts a plain `Graph` (implicit borrowing view, version 0) or a live
@@ -137,12 +139,12 @@ class QueryEngine {
   explicit QueryEngine(const GraphView& view, const EngineOptions& opts = {});
   ~QueryEngine();
 
-  uint32_t num_workers() const { return pool_.num_workers(); }
+  uint32_t num_workers() const { return scheduler_.num_workers(); }
   const Graph& graph() const { return view_.base(); }
   const GraphView& view() const { return view_; }
 
   /// Runs the batch; `sinks[i]` receives exactly the paths of `queries[i]`.
-  /// With split_branches each sink must tolerate calls from pool threads
+  /// With split_branches each sink must tolerate calls from worker threads
   /// (calls are serialized by the engine, so plain sinks are safe); without
   /// it, sink i is only ever touched by the single worker running query i.
   /// With dedup_identical, the sinks of identical queries are all fed from
@@ -174,7 +176,7 @@ class QueryEngine {
   /// batch pins the oracle epoch matching the bound view's exact snapshot
   /// version and base identity, and sheds the queries it certifies
   /// unsatisfiable in O(|label| + |C|²) on the caller thread, before any
-  /// dispatch — across overlay rebinds and publishes alike. Any mismatch
+  /// enqueue — across overlay rebinds and publishes alike. Any mismatch
   /// (racing publish, re-label, unrelated rebind) degrades to "no claim",
   /// never to a wrong rejection. Must not race RunBatch.
   void SetLiveOracle(const LiveDistanceOracle* oracle) {
@@ -188,10 +190,10 @@ class QueryEngine {
   /// IndexCache::Clear). No-op without a cache.
   void InvalidateCaches();
 
-  /// Points the engine at a different graph snapshot: recreates every
-  /// worker context and invalidates the caches (a cached index describes
-  /// the old topology). Must not race RunBatch. The new graph must outlive
-  /// the engine. For incremental updates prefer RunBatch(view, ...) +
+  /// Points the engine at a different graph and invalidates the caches (a
+  /// cached index describes the old topology); workers rebind to it per task,
+  /// scratch resizing lazily. Must not race RunBatch. The new graph must
+  /// outlive the engine. For incremental updates prefer RunBatch(view, ...) +
   /// IndexCache::BeginEpoch, which keep unaffected cache entries alive.
   void RebindGraph(const Graph& g);
 
@@ -200,9 +202,6 @@ class QueryEngine {
     size_t scratch_bytes = 0;    // reusable scratch across all contexts
     uint64_t queries_run = 0;    // queries executed since construction
     uint64_t batches_run = 0;
-    /// Whole-query steals in RunStealing (a worker claiming a task from
-    /// another worker's deque).
-    uint64_t steals = 0;
     /// Queries shed as kUnsatisfiable by the live oracle before dispatch,
     /// duplicates included.
     uint64_t oracle_rejects = 0;
@@ -210,36 +209,16 @@ class QueryEngine {
   EngineStats Stats() const;
 
  private:
-  /// One unit of batch work: a representative query plus the indices of
-  /// its in-batch duplicates (defined in query_engine.cpp).
-  struct TaskGroup;
-
-  /// One group per query, or — with `dedup` — one per distinct (s, t, k).
-  static std::vector<TaskGroup> GroupQueries(std::span<const Query> queries,
-                                             bool dedup);
-
-  /// Inter-query mode: workers claim whole (deduplicated) query groups,
-  /// stealing across per-worker deques; cache hits are scheduled first.
-  /// `groups` have passed RunBatch's rejection gate.
-  void RunStealing(std::span<const Query> queries,
-                   std::span<PathSink* const> sinks, const BatchOptions& opts,
-                   IndexCache* cache, std::vector<TaskGroup>& groups,
-                   BatchResult& result);
-
-  /// min(pool, tasks, hardware cores), at least 1.
-  uint32_t ClampedWorkers(size_t tasks) const;
-
   GraphView view_;
   const LiveDistanceOracle* live_oracle_ = nullptr;  // see SetLiveOracle
-  ThreadPool pool_;
-  std::vector<std::unique_ptr<QueryContext>> contexts_;  // one per worker
   std::unique_ptr<IndexCache> cache_;  // null unless opts.enable_cache
   /// ShardedCounter storage (DESIGN.md §12): Stats() and the registry's
   /// `pathenum_engine_*` metrics read the same slots.
   obs::ShardedCounter batches_run_;
-  obs::ShardedCounter split_queries_run_;
-  obs::ShardedCounter steals_;
+  obs::ShardedCounter queries_run_;
   obs::ShardedCounter oracle_rejects_;
+  /// Declared last: its workers finish tasks into the counters above.
+  Scheduler scheduler_;
 };
 
 }  // namespace pathenum

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/scheduler.h"
 #include "util/timer.h"
 
 namespace pathenum {
@@ -59,20 +60,22 @@ void FinishFanout(EnumCounters& out, std::span<const EnumCounters> totals,
 class SplitRun {
  public:
   SplitRun(const LightweightIndex& index, PathSink& sink,
-           const EnumOptions& opts, SplitScratch& scratch,
-           uint32_t participants, const SplitRecruit& recruit)
+           const EnumOptions& opts, Scheduler& scheduler, uint32_t leader,
+           QueryContext& lead_ctx)
       : index_(index),
         opts_(opts),
-        scratch_(scratch),
-        participants_(participants),
-        recruit_(recruit),
+        scheduler_(scheduler),
+        leader_(leader),
+        lead_ctx_(lead_ctx),
+        scratch_(lead_ctx.split_scratch()),
+        participants_(scheduler.num_workers()),
         // One absolute deadline for the whole fan-out: every unit derives
         // its remaining budget from it instead of re-subtracting elapsed
         // time.
         deadline_(Deadline::AfterMs(opts.time_limit_ms)),
         gate_(opts.result_limit, opts.response_target, timer_),
         sink_(gate_, sink) {
-    scratch_.counters.assign(participants, EnumCounters{});
+    scratch_.counters.assign(participants_, EnumCounters{});
   }
 
   double elapsed_ms() const { return timer_.ElapsedMs(); }
@@ -228,7 +231,7 @@ class SplitRun {
     return unit_opts;
   }
 
-  /// Runs one phase of `units` units through the engine's recruit hook.
+  /// Runs one phase of `units` units on the scheduler.
   /// Each participant claims units off the phase cursor and runs
   /// `unit(ctx, worker, u)` until the units run out or a unit's counters
   /// say stop — then it trips stop_claims, since the query-wide limit
@@ -261,7 +264,7 @@ class SplitRun {
         Fail("split query participant failed");
       }
     };
-    recruit_(phase);
+    scheduler_.RunPhase(leader_, lead_ctx_, phase);
     const std::lock_guard<std::mutex> lock(error_mutex_);
     if (!error_.empty()) throw std::runtime_error(error_);
   }
@@ -275,9 +278,11 @@ class SplitRun {
 
   const LightweightIndex& index_;
   const EnumOptions& opts_;
+  Scheduler& scheduler_;
+  const uint32_t leader_;
+  QueryContext& lead_ctx_;
   SplitScratch& scratch_;
   const uint32_t participants_;
-  const SplitRecruit& recruit_;
   Timer timer_;  // enumeration stopwatch (response_ms, enumerate_ms)
   const Deadline deadline_;
   BranchGate gate_;
@@ -289,16 +294,16 @@ class SplitRun {
 
 }  // namespace
 
-QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
+QueryStats RunSplitQuery(Scheduler& scheduler, uint32_t leader,
+                         QueryContext& lead_ctx, const Query& q, PathSink& sink,
                          const EnumOptions& opts, IndexCache* cache,
-                         uint32_t participants, const SplitRecruit& recruit,
                          obs::QuerySpan& span) {
   QueryStats stats;
   Timer total;
   // The same BuildOptionsFor fingerprint and PlanExecution pipeline as the
   // serial path: a split query shares index-cache entries with — and picks
   // the same method as — its serial equivalent.
-  const std::shared_ptr<const LightweightIndex> index = leader.AcquireIndex(
+  const std::shared_ptr<const LightweightIndex> index = lead_ctx.AcquireIndex(
       q, PathEnumerator::BuildOptionsFor(q, opts), cache, stats);
   span.SetIndexOutcome(stats.index_cache_hit, false);
   span.Mark(obs::SpanStage::kIndexAcquire);
@@ -315,21 +320,17 @@ QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
   stats.method = plan.method;
   stats.cut_position = plan.cut;
 
+  double enumerate_ms = 0.0;
   if (index->source_slot() != kInvalidSlot) {
-    SplitRun run(*index, sink, opts, leader.split_scratch(), participants,
-                 recruit);
+    SplitRun run(*index, sink, opts, scheduler, leader, lead_ctx);
     if (plan.method == Method::kJoin) {
       run.RunJoin(plan.cut, stats.counters, span);
     } else {
       run.RunDfs(stats.counters, span);
     }
-    stats.enumerate_ms = run.elapsed_ms();
+    enumerate_ms = run.elapsed_ms();
   }
-  stats.total_ms = total.ElapsedMs();
-  const double preprocessing = stats.total_ms - stats.enumerate_ms;
-  stats.response_ms = stats.counters.response_ms >= 0.0
-                          ? preprocessing + stats.counters.response_ms
-                          : stats.total_ms;
+  FinalizeRun(stats, stats.counters, enumerate_ms, total.ElapsedMs());
   return stats;
 }
 

@@ -3,9 +3,9 @@
 // and a split IDX-JOIN materialization or probe unit are all
 // dependence-disjoint units (PAPERS.md: Zhou, Heath & Harris): any
 // participant may claim any unit of a phase, in any order, off a shared
-// cursor. Both engines call RunSplitQuery; they differ only in how workers
-// join a phase — QueryEngine gangs its whole pool, AsyncEngine lets idle
-// workers help between queue pops (SplitRecruit).
+// cursor. Both engines' split queries run here, on the one scheduler
+// (engine/scheduler.h): the worker that claimed the query leads it, and
+// idle workers help drain each phase between queue pops.
 #ifndef PATHENUM_ENGINE_SPLIT_QUERY_H_
 #define PATHENUM_ENGINE_SPLIT_QUERY_H_
 
@@ -22,12 +22,14 @@
 
 namespace pathenum {
 
+class Scheduler;
+
 /// One fan-out phase of a split query: `units` units claimed off `cursor`
 /// until it runs past them or `stop_claims` trips.
 struct SplitPhase {
-  /// One participant's share of the phase: `worker` is its id — below the
-  /// driver's `participants`, distinct among concurrent participants — and
-  /// `ctx` its own context. Never throws: the driver records a failure,
+  /// One participant's share of the phase: `worker` is its scheduler
+  /// worker id — distinct among concurrent participants — and `ctx` that
+  /// worker's context. Never throws: the driver records a failure,
   /// stops the phase, and rethrows it on the leader after the barrier.
   std::function<void(uint32_t worker, QueryContext& ctx)> participate;
   std::atomic<uint32_t> cursor{0};
@@ -42,25 +44,21 @@ struct SplitPhase {
   }
 };
 
-/// An engine's hook for one phase: runs `phase.participate` on every worker
-/// it recruits and returns only once all of them have left — the phase's
-/// barrier.
-using SplitRecruit = std::function<void(SplitPhase& phase)>;
-
-/// Runs one validated query with its work split across workers: acquires
-/// the index through `leader` (and `cache`, when given — the index cache
-/// only, since a split run's sink interleaving is nondeterministic and so
-/// never recorded for replay), plans exactly like the serial path, fans out
-/// the planned method's units through `recruit`, and merges the counters.
-/// `sink` calls are serialized, and it is never called again once it
-/// returned false or threw. The split-JOIN scratch lives in `leader`, with
-/// one right-half buffer per participant id below `participants`.
-/// Marks `span`'s index-acquire, enumerate and merge stages; the caller
-/// begins and finishes it. A participant that throws stops every other
-/// one; the first failure is rethrown here as std::runtime_error.
-QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
+/// Runs one validated query with its work split across `scheduler`'s workers,
+/// led by worker `leader` (the caller) on `lead_ctx`: acquires the index
+/// through that context (and `cache`, when given — the index cache only, since
+/// a split run's sink interleaving is nondeterministic and so never recorded
+/// for replay), plans exactly like the serial path, publishes the planned
+/// method's phases through Scheduler::RunPhase, and merges the counters. `sink`
+/// calls are serialized, and it is never called again once it returned false or
+/// threw. The split-JOIN scratch lives in `lead_ctx`, with one right-half
+/// buffer per scheduler worker. Marks `span`'s index-acquire, enumerate and
+/// merge stages; the caller begins and finishes it. A participant that throws
+/// stops every other one; the first failure is rethrown here as
+/// std::runtime_error.
+QueryStats RunSplitQuery(Scheduler& scheduler, uint32_t leader,
+                         QueryContext& lead_ctx, const Query& q, PathSink& sink,
                          const EnumOptions& opts, IndexCache* cache,
-                         uint32_t participants, const SplitRecruit& recruit,
                          obs::QuerySpan& span);
 
 }  // namespace pathenum

@@ -1,14 +1,14 @@
-// Asynchronous streaming front-end over the live-graph subsystem
-// (DESIGN.md §7): Submit(query, sink) -> QueryTicket enqueues work onto the
-// persistent ThreadPool and returns immediately; paths stream into the
-// caller's PathSink from a worker thread as they are found (the standard
-// sink contract — return false to stop early). SubmitUpdate(delta) applies
-// an update epoch: it prepares the next snapshot, incrementally invalidates
-// the shared cache for the new version (IndexCache::BeginEpoch with the
-// epoch's UpdateImpact), and only then publishes — so every query observes
-// exactly the snapshot that was current when it was submitted, updates
-// never corrupt in-flight enumerations, and unaffected hot keys keep their
-// cached indexes across updates.
+// Asynchronous streaming front-end over the live-graph subsystem (DESIGN.md
+// §7): Submit(query, sink) -> QueryTicket admits the query onto the shared
+// worker Scheduler (engine/scheduler.h) and returns immediately; paths stream
+// into the caller's PathSink from a worker thread as they are found (the
+// standard sink contract — return false to stop early). SubmitUpdate(delta)
+// applies an update epoch: it prepares the next snapshot, incrementally
+// invalidates the shared cache for the new version (IndexCache::BeginEpoch with
+// the epoch's UpdateImpact), and only then publishes — so every query observes
+// exactly the snapshot that was current when it was submitted, updates never
+// corrupt in-flight enumerations, and unaffected hot keys keep their cached
+// indexes across updates.
 //
 // Threading contract: Submit/TrySubmit and SubmitUpdate may be called from
 // any thread (updates serialize internally). A plain query's sink is
@@ -20,37 +20,31 @@
 // OnBlock consumes whole blocks — one serialized delivery per ~256 paths
 // on a split ticket — while OnPath-only sinks transparently receive the
 // decoded per-path sequence.
-// The ticket's Wait() synchronizes with the query's completion. Shutdown
-// drains the admission queue before stopping the workers; the destructor
-// shuts down.
+// The ticket's Wait() synchronizes with the query's completion. The engine
+// itself keeps only admission — the oracle gate, the shed policies,
+// tickets, snapshots and updates; the scheduler runs what it admits.
+// Shutdown drains the admission queue before stopping the workers; the
+// destructor shuts down.
 #ifndef PATHENUM_LIVE_ASYNC_ENGINE_H_
 #define PATHENUM_LIVE_ASYNC_ENGINE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/options.h"
 #include "core/query.h"
 #include "core/sink.h"
 #include "engine/index_cache.h"
-#include "engine/query_context.h"
-#include "core/thread_pool.h"
+#include "engine/scheduler.h"
 #include "live/live_oracle.h"
 #include "live/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace pathenum {
-
-struct SplitPhase;
 
 struct AsyncEngineOptions {
   /// What happens when a submission finds the admission queue full.
@@ -66,7 +60,8 @@ struct AsyncEngineOptions {
     kCancelOldest,
   };
 
-  /// Worker threads. 0 picks hardware_concurrency().
+  /// Worker threads: 0 picks hardware_concurrency(), and any request is
+  /// clamped to it (Scheduler::WorkersFor).
   uint32_t num_workers = 0;
   /// Bounded admission: Submit blocks (TrySubmit fails) when this many
   /// queries are already queued.
@@ -91,15 +86,15 @@ struct SubmitOptions {
   /// Applied to the query's enumeration.
   EnumOptions query;
 
-  /// Heavy-ticket mode (DESIGN.md §8): the claiming worker acquires the
-  /// index on the submission's snapshot and plans it like a plain ticket,
-  /// then fans the planned method's units — first-level DFS branches, or
-  /// the split IDX-JOIN's half and probe units — out to *idle* workers,
-  /// which drain them between queue pops. One straggler query no longer
-  /// serializes behind the update stream, and every unit observes exactly
-  /// the ticket's snapshot (the units run on the immutable per-query
-  /// index). Limit and truncation semantics are identical to the serial
-  /// path via the shared BranchGate's per-ticket stop latch.
+  /// Heavy-ticket mode (DESIGN.md §8): the claiming worker acquires the index
+  /// on the submission's snapshot and plans it like a plain ticket, then leads
+  /// it: the planned method's units — first-level DFS branches, or the split
+  /// IDX-JOIN's half and probe units — fan out to *idle* workers, which drain
+  /// them between queue pops. One straggler query no longer serializes behind
+  /// the update stream, and every unit observes exactly the ticket's snapshot
+  /// (the units run on the immutable per-query index). Limit and truncation
+  /// semantics are identical to the serial path via the shared BranchGate's
+  /// per-ticket stop latch.
   bool split_branches = false;
 };
 
@@ -147,7 +142,12 @@ class QueryTicket {
  private:
   friend class AsyncEngine;
 
-  struct State {
+  /// The ticket's completion state, and its task's TaskDone: Finish
+  /// records the outcome and wakes the waiters.
+  struct State final : TaskDone {
+    void Finish(Task& task, const QueryStats& run_stats, std::string run_error,
+                QueryState run_state) override;
+
     mutable std::mutex mutex;
     mutable std::condition_variable cv;
     bool done = false;
@@ -215,10 +215,10 @@ class AsyncEngine {
   }
 
   uint64_t version() const { return snapshots_.version(); }
-  uint32_t num_workers() const { return pool_.num_workers(); }
+  uint32_t num_workers() const { return scheduler_.num_workers(); }
 
   /// Blocks until every already-submitted query has completed.
-  void Drain();
+  void Drain() { scheduler_.Drain(); }
 
   /// Stops the workers. By default the queue drains first (every queued
   /// ticket runs to completion); with `cancel_pending` the queued tickets
@@ -258,47 +258,6 @@ class AsyncEngine {
   LiveDistanceOracle* oracle() { return oracle_.get(); }
 
  private:
-  struct Submission {
-    Query query;
-    PathSink* sink = nullptr;
-    EnumOptions opts;
-    bool split = false;
-    std::shared_ptr<const GraphView> snapshot;
-    std::shared_ptr<QueryTicket::State> state;
-    /// Lifecycle span: begun at admission (queue_wait runs until a worker
-    /// claims the task) and finished on every completion path — run,
-    /// shed, pre-run cancel, or shutdown orphan.
-    obs::QuerySpan span;
-  };
-
-  /// A split ticket's recruitment barrier (DESIGN.md §8). The leader —
-  /// the worker that claimed the ticket — publishes each fan-out phase of
-  /// the split driver here, drains units itself, retires the phase, and
-  /// waits for the helpers that joined before the driver moves on.
-  struct SplitBarrier {
-    SplitPhase* phase = nullptr;  // the published phase (queue_mutex_)
-    std::mutex mutex;             // guards active_helpers
-    std::condition_variable helpers_done;
-    uint32_t active_helpers = 0;
-  };
-
-  void WorkerLoop(uint32_t worker);
-  void Execute(uint32_t worker, Submission& task);
-
-  /// The async engine's SplitRecruit for one phase of a split ticket led by
-  /// `worker`: publishes the phase so idle workers help between queue
-  /// pops, participates as the leader, retires the phase and waits out
-  /// the helpers that joined.
-  void RecruitIdleWorkers(const std::shared_ptr<SplitBarrier>& barrier,
-                          SplitPhase& phase, uint32_t worker);
-
-  /// True when some published split phase still has unclaimed units —
-  /// part of the worker wait predicate; queue_mutex_ must be held.
-  bool HasSplitWorkLocked() const;
-  /// Registers this worker as a helper on a published phase with
-  /// remaining units, or returns null; queue_mutex_ must be held.
-  std::shared_ptr<SplitBarrier> ClaimSplitWorkLocked();
-
   /// Shared admission for Submit and TrySubmit, which differ only in how
   /// they refuse: under kRejectNewest a full queue makes Submit
   /// (`block_when_full`) wait for room and TrySubmit return an invalid
@@ -309,23 +268,16 @@ class AsyncEngine {
   QueryTicket Admit(const Query& q, PathSink& sink, const SubmitOptions& opts,
                     bool block_when_full, double* retry_after_ms);
 
-  /// Finishes `span` with `query_state` (recording metrics / trace), copies
-  /// its record into the ticket state, and signals the waiters.
-  static void Complete(QueryTicket::State& state, const QueryStats& stats,
-                       std::string error, QueryState query_state,
-                       obs::QuerySpan* span = nullptr);
-
   /// Finishes an admission-time oracle rejection: terminal kUnsatisfiable
-  /// span + ticket completion. Called outside queue_mutex_.
-  static void CompleteUnsatisfiable(Submission& task);
+  /// span + ticket completion. Called outside the queue lock.
+  static void CompleteUnsatisfiable(Task& task);
 
-  /// Completes the oldest queued submission as kCancelled (the
-  /// kCancelOldest shed); queue_mutex_ must be held and queue_ non-empty.
-  void ShedOldestLocked();
+  /// Completes the oldest queued task as kCancelled (the kCancelOldest
+  /// shed); `queue` must be non-empty.
+  void ShedOldest(Scheduler::LockedQueue& queue);
 
-  /// Backlog-derived retry hint for a rejected TrySubmit; queue_mutex_
-  /// must be held.
-  double RetryAfterLockedMs() const;
+  /// Backlog-derived retry hint for a rejected TrySubmit.
+  double RetryAfterMs(const Scheduler::LockedQueue& queue) const;
 
   AsyncEngineOptions opts_;
   SnapshotManager snapshots_;
@@ -335,36 +287,18 @@ class AsyncEngine {
   /// once ~AsyncEngine has shut the engine down.
   std::unique_ptr<LiveDistanceOracle> oracle_;
   std::unique_ptr<IndexCache> cache_;  // null unless enable_cache
-  ThreadPool pool_;
-  std::vector<std::unique_ptr<QueryContext>> contexts_;  // one per worker
+  /// Runs every admitted ticket; its queue is the admission queue.
+  Scheduler scheduler_;
 
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_not_empty_;
-  std::condition_variable queue_not_full_;
-  std::condition_variable idle_;
-  std::deque<Submission> queue_;
-  /// Split phases idle workers may help with (guarded by queue_mutex_;
-  /// the phases' own state is synchronized by their atomics/mutex).
-  std::deque<std::shared_ptr<SplitBarrier>> split_phases_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-  /// Lifecycle counters, registered as pathenum_async_* metrics. The first
-  /// four are only ever written under queue_mutex_; ShardedCounter storage
-  /// keeps them registry-readable without the lock.
+  /// Admission counters, registered as pathenum_async_* metrics. Only ever
+  /// written under the queue lock; ShardedCounter storage keeps them
+  /// readable without it.
   obs::ShardedCounter submitted_;
-  obs::ShardedCounter executed_;
   obs::ShardedCounter queue_rejects_;
   obs::ShardedCounter sheds_;
-  /// EWMA of per-query wall time, feeding the retry-after hint.
-  double avg_exec_ms_ = 0.0;
-  obs::ShardedCounter cancelled_before_run_;
-  /// Admission-time oracle rejections (written under queue_mutex_).
   obs::ShardedCounter oracle_rejects_;
 
   std::mutex update_mutex_;  // serializes Prepare..BeginEpoch..Publish
-  std::mutex shutdown_mutex_;  // serializes the runner join
-
-  std::thread runner_;  // drives pool_.RunOnAllWorkers(WorkerLoop)
 };
 
 }  // namespace pathenum

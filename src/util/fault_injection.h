@@ -31,7 +31,7 @@ enum class Site : uint32_t {
   kBlockFlush,          // every PathBlock delivery (BlockEmitter::Flush)
   kCacheBuild,          // IndexCache::GetOrBuild, before the build runs
   kJoinMaterialize,     // periodically during JOIN tuple materialization
-  kAsyncClaim,          // AsyncEngine worker claiming a submission
+  kTaskClaim,           // a scheduler worker claiming a queued task
   kIoRead,              // graph deserialization, per parsed section
   kCount,
 };

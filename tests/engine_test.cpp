@@ -1,7 +1,7 @@
-// Tests for the batch QueryEngine subsystem: the thread pool, batch-vs-
-// sequential result equivalence (both scheduling modes), context reuse
-// across hundreds of queries, per-query limit isolation, and the
-// zero-allocation steady state of the pooled scratch.
+// Tests for the batch QueryEngine subsystem: batch-vs-sequential result
+// equivalence (both scheduling modes), context reuse across hundreds of
+// queries, per-query limit isolation, and the zero-allocation steady state
+// of the pooled scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 
 #include "core/path_enum.h"
 #include "engine/query_engine.h"
-#include "core/thread_pool.h"
 #include "graph/generators.h"
 #include "live/live_oracle.h"
 #include "live/snapshot.h"
@@ -29,36 +28,6 @@ namespace {
 
 using testing::PathSet;
 using testing::ToSet;
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsJobOnEveryWorker) {
-  ThreadPool pool(4);
-  ASSERT_EQ(pool.num_workers(), 4u);
-  std::vector<std::atomic<int>> hits(4);
-  pool.RunOnAllWorkers([&](uint32_t w) { hits[w]++; });
-  pool.RunOnAllWorkers([&](uint32_t w) { hits[w]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
-}
-
-TEST(ThreadPoolTest, DefaultsToAtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.num_workers(), 1u);
-}
-
-TEST(ThreadPoolTest, PropagatesWorkerExceptions) {
-  ThreadPool pool(3);
-  EXPECT_THROW(pool.RunOnAllWorkers([](uint32_t w) {
-    if (w == 1) throw std::runtime_error("boom");
-  }),
-               std::runtime_error);
-  // The pool survives a throwing job.
-  std::atomic<int> sum{0};
-  pool.RunOnAllWorkers([&](uint32_t) { sum++; });
-  EXPECT_EQ(sum.load(), 3);
-}
 
 // ---------------------------------------------------------------------------
 // BumpArena
@@ -460,11 +429,12 @@ TEST(QueryEngineTest, ScratchStopsGrowingAcrossRepeatedBatches) {
   const Graph g = ErdosRenyi(80, 900, 13);
   const std::vector<Query> queries = MixedQueries(g);
   // One worker makes the query->context assignment deterministic, so the
-  // scratch footprint must be bit-stable once warmed (with stealing, which
-  // context saw which query — and hence per-context capacity — can vary
-  // run to run even though each context individually stops growing).
-  // The split join's unit and merge tables are grow-only scratch of the
-  // leading context and must settle the same way.
+  // scratch footprint must be bit-stable once warmed (with several workers
+  // claiming off the shared queue, which context saw which query — and
+  // hence per-context capacity — can vary run to run even though each
+  // context individually stops growing). The split join's unit and merge
+  // tables are grow-only scratch of the leading context and must settle
+  // the same way.
   BatchOptions split_join;
   split_join.split_branches = true;
   split_join.query.method = Method::kJoin;

@@ -1219,7 +1219,7 @@ TEST(AsyncEngineTest, HeavySplitQueryRacingUpdateStormStaysConsistent) {
 TEST(AsyncEngineTest, ThrowingSinkFailsSplitTicketWithoutKillingWorkers) {
   // A sink throwing mid-fan-out must fail just that ticket (like the plain
   // path does), leave no helper stranded at the merge barrier, and keep
-  // every pool worker alive for later traffic.
+  // every worker alive for later traffic.
   class ThrowingSink : public PathSink {
    public:
     bool OnPath(std::span<const VertexId>) override {

@@ -1,9 +1,9 @@
 // Query-lifecycle robustness tests (DESIGN.md §10): cooperative
 // cancellation and deadlines across the serial, split and async front-ends,
 // work budgets, terminal-state reporting, overload shedding, Status-based
-// ingestion of untrusted graphs/deltas, ThreadPool teardown under load, and
-// the deterministic fault-injection harness that drives the failure
-// scenarios (slow index builds, allocation failures, mid-block trips).
+// ingestion of untrusted graphs/deltas, and the deterministic fault-
+// injection harness that drives the failure scenarios (slow index builds,
+// allocation failures, mid-block trips).
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -25,7 +25,6 @@
 #include "core/control.h"
 #include "core/path_enum.h"
 #include "core/reference.h"
-#include "core/thread_pool.h"
 #include "engine/index_cache.h"
 #include "engine/query_context.h"
 #include "engine/query_engine.h"
@@ -692,6 +691,24 @@ TEST_F(RobustnessTest, ShutdownCancelPendingCompletesQueuedAsCancelled) {
   EXPECT_FALSE(t4.ok());
 }
 
+TEST_F(RobustnessTest, SubmitAfterShutdownFinishesSpanAsRejected) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  AsyncEngine engine(PaperExampleGraph(), {.num_workers = 1});
+  engine.Shutdown();
+  CountingSink sink;
+  const QueryTicket t = engine.Submit(PaperExampleQuery(), sink);
+  ASSERT_TRUE(t.Done());
+  EXPECT_EQ(t.state(), QueryState::kRejected);
+  // The ticket's span is finished like every other terminal path: its
+  // record carries the terminal state, a query id and contiguous segments.
+  const obs::QuerySpanData span = t.span();
+  EXPECT_EQ(span.state, QueryState::kRejected);
+  EXPECT_NE(span.id, 0u);
+  EXPECT_GE(span.num_segments, 1u);
+  EXPECT_DOUBLE_EQ(span.SegmentSumMs(), span.total_ms);
+  EXPECT_EQ(sink.count(), 0u);
+}
+
 TEST_F(RobustnessTest, TrySubmitUpdateValidatesDelta) {
   AsyncEngine engine(PaperExampleGraph(), {.num_workers = 1});
   const uint64_t v0 = engine.version();
@@ -712,34 +729,6 @@ TEST_F(RobustnessTest, TrySubmitUpdateValidatesDelta) {
   engine.Shutdown();
   const Status after = engine.TrySubmitUpdate(good);
   EXPECT_EQ(after.code(), StatusCode::kUnavailable);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool teardown
-// ---------------------------------------------------------------------------
-
-TEST_F(RobustnessTest, ThreadPoolShutdownIsIdempotent) {
-  ThreadPool pool(2);
-  pool.Shutdown();
-  pool.Shutdown();  // second call is a no-op, destructor another
-}
-
-TEST_F(RobustnessTest, ThreadPoolShutdownUnderLoadRunsPendingGeneration) {
-  ThreadPool pool(4);
-  std::atomic<int> started{0};
-  std::atomic<int> finished{0};
-  std::thread caller([&] {
-    pool.RunOnAllWorkers([&](uint32_t) {
-      started.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      finished.fetch_add(1);
-    });
-  });
-  while (started.load() == 0) std::this_thread::sleep_for(
-      std::chrono::milliseconds(1));
-  pool.Shutdown();  // races the in-flight generation
-  caller.join();    // must unblock normally, all invocations complete
-  EXPECT_EQ(finished.load(), 4);
 }
 
 // ---------------------------------------------------------------------------
