@@ -2,10 +2,21 @@
 
 #include <algorithm>
 
+#include "engine/index_cache.h"
+#include "obs/span.h"
 #include "util/stats.h"
 #include "util/timer.h"
 
 namespace pathenum {
+
+size_t SplitScratch::Bytes() const {
+  size_t bytes = VectorBytes(starts) + VectorBytes(left) + VectorBytes(right) +
+                 VectorBytes(ranges) + VectorBytes(range_worker) +
+                 VectorBytes(is_key) + VectorBytes(groups) +
+                 VectorBytes(counters);
+  for (const std::vector<uint32_t>& buf : right) bytes += VectorBytes(buf);
+  return bytes;
+}
 
 void FinalizeRun(QueryStats& stats, const EnumCounters& counters,
                  double enumerate_ms, double total_ms) {
@@ -51,20 +62,92 @@ void FinalizeInterruptedBuild(const LightweightIndex& index, double total_ms,
 }
 
 QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
-                               const EnumOptions& opts) {
+                               const EnumOptions& opts, IndexCache* cache,
+                               obs::QuerySpan* span) {
+  // Validation throws before any cache interaction.
   ValidateQuery(view_, q);
-  arena_.Reset();  // previous query's arena tables die here
-  QueryStats stats;
   Timer total;
-  LightweightIndex index = BuildIndex(q, BuildOptionsFor(q, opts));
-  if (index.build_stats().interrupted) {
-    FinalizeInterruptedBuild(index, total.ElapsedMs(), stats);
+
+  // Cache interactions carry the bound snapshot's version: a hit must be
+  // valid for exactly the snapshot this query observes, and a build/record
+  // of a retired snapshot must not publish (DESIGN.md §7).
+  const bool result_cache_on =
+      cache != nullptr && cache->options().max_result_bytes > 0;
+  const CacheKey result_key{q.source, q.target, q.hops,
+                            ResultOptionsFingerprint(opts)};
+  if (result_cache_on) {
+    if (const auto cached = cache->GetResult(result_key, view_.version())) {
+      if (span != nullptr) {
+        span->SetIndexOutcome(false, /*result_cache_hit=*/true);
+        span->Mark(obs::SpanStage::kIndexAcquire);
+      }
+      const QueryStats stats = ReplayCachedResult(*cached, sink, opts);
+      if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
+      return stats;
+    }
+  }
+
+  QueryStats acquired;
+  const std::shared_ptr<const LightweightIndex> index =
+      AcquireIndex(q, BuildOptionsFor(q, opts), cache, acquired);
+  if (span != nullptr) {
+    span->SetIndexOutcome(acquired.index_cache_hit, false);
+    span->Mark(obs::SpanStage::kIndexAcquire);
+  }
+  if (index->build_stats().interrupted) {
+    // This query's own deadline/cancel tripped mid-build (an interrupted
+    // build is never published or handed to waiters, so it is always ours).
+    QueryStats stats;
+    FinalizeInterruptedBuild(*index, total.ElapsedMs(), stats);
     return stats;
   }
-  stats.bfs_ms = index.build_stats().bfs_ms;
-  stats.index_ms = index.build_stats().total_ms;
-  ExecuteOnIndex(index, stats, sink, opts, total);
+
+  QueryStats stats;
+  if (result_cache_on) {
+    RecordingSink recorder(sink, cache->options().max_result_entry_bytes);
+    stats = RunWithIndex(*index, recorder, opts);
+    // Only complete runs enter the result cache: a truncated path set
+    // (limit, deadline, sink stop) must never be replayed as the answer.
+    if (stats.counters.completed() && recorder.recording()) {
+      cache->PutResult(result_key, recorder.Finish(stats), view_.version());
+    }
+  } else {
+    stats = RunWithIndex(*index, sink, opts);
+  }
+  if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
+  // A build paid inside AcquireIndex is charged here (a hit's build
+  // timings read 0).
+  stats.index_cache_hit = acquired.index_cache_hit;
+  stats.bfs_ms = acquired.bfs_ms;
+  stats.index_ms = acquired.index_ms;
+  stats.total_ms += acquired.index_ms;
+  stats.response_ms += acquired.index_ms;
   return stats;
+}
+
+std::shared_ptr<const LightweightIndex> PathEnumerator::AcquireIndex(
+    const Query& q, const IndexBuilder::Options& build_opts, IndexCache* cache,
+    QueryStats& stats) {
+  std::shared_ptr<const LightweightIndex> index;
+  bool hit = false;
+  if (cache != nullptr) {
+    const CacheKey key{q.source, q.target, q.hops,
+                       IndexOptionsFingerprint(build_opts)};
+    index = cache->GetOrBuild(
+        key, [&] { return BuildIndex(q, build_opts); }, &hit,
+        view_.version());
+  } else {
+    index = std::make_shared<const LightweightIndex>(BuildIndex(q, build_opts));
+  }
+  stats.index_cache_hit = hit;
+  if (!hit) {
+    stats.bfs_ms = index->build_stats().bfs_ms;
+    stats.index_ms = index->build_stats().total_ms;
+  }
+  stats.index_vertices = index->num_vertices();
+  stats.index_edges = index->num_edges();
+  stats.index_bytes = index->MemoryBytes();
+  return index;
 }
 
 QueryStats PathEnumerator::RunWithIndex(const LightweightIndex& index,
@@ -77,10 +160,25 @@ QueryStats PathEnumerator::RunWithIndex(const LightweightIndex& index,
                      "cached index lacks the in-direction this method needs");
   PATHENUM_CHECK_MSG(!need.collect_level_stats || index.has_level_stats(),
                      "cached index lacks level stats required by kAuto");
-  arena_.Reset();
+  arena_.Reset();  // previous query's arena tables die here
   QueryStats stats;
   Timer total;
-  ExecuteOnIndex(index, stats, sink, opts, total);
+  stats.index_vertices = index.num_vertices();
+  stats.index_edges = index.num_edges();
+  stats.index_bytes = index.MemoryBytes();
+
+  const ExecutionPlan plan = PlanExecution(index, opts, stats);
+  stats.method = plan.method;
+  stats.cut_position = plan.cut;
+
+  Timer enum_timer;
+  EnumCounters counters;
+  if (plan.method == Method::kJoin) {
+    counters = join_.Run(index, plan.cut, sink, opts);
+  } else {
+    counters = dfs_.Run(index, sink, opts);
+  }
+  FinalizeRun(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
   return stats;
 }
 
@@ -126,27 +224,6 @@ PathEnumerator::ExecutionPlan PathEnumerator::PlanExecution(
   return plan;
 }
 
-void PathEnumerator::ExecuteOnIndex(const LightweightIndex& index,
-                                    QueryStats& stats, PathSink& sink,
-                                    const EnumOptions& opts, Timer& total) {
-  stats.index_vertices = index.num_vertices();
-  stats.index_edges = index.num_edges();
-  stats.index_bytes = index.MemoryBytes();
-
-  const ExecutionPlan plan = PlanExecution(index, opts, stats);
-  stats.method = plan.method;
-  stats.cut_position = plan.cut;
-
-  Timer enum_timer;
-  EnumCounters counters;
-  if (plan.method == Method::kJoin) {
-    counters = join_.Run(index, plan.cut, sink, opts);
-  } else {
-    counters = dfs_.Run(index, sink, opts);
-  }
-  FinalizeRun(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
-}
-
 QueryStats PathEnumerator::RunConstrained(const Query& q,
                                           const PathConstraints& constraints,
                                           PathSink& sink,
@@ -174,16 +251,13 @@ QueryStats PathEnumerator::RunConstrained(const Query& q,
   build_opts.cancel = opts.cancel.flag();
   build_opts.deadline = Deadline::AfterMs(opts.time_limit_ms);
   // Overlay-free is asserted above, so this is always Build<Graph>.
-  LightweightIndex index = BuildIndex(q, build_opts);
+  const std::shared_ptr<const LightweightIndex> acquired =
+      AcquireIndex(q, build_opts, /*cache=*/nullptr, stats);
+  const LightweightIndex& index = *acquired;
   if (index.build_stats().interrupted) {
     FinalizeInterruptedBuild(index, total.ElapsedMs(), stats);
     return stats;
   }
-  stats.bfs_ms = index.build_stats().bfs_ms;
-  stats.index_ms = index.build_stats().total_ms;
-  stats.index_vertices = index.num_vertices();
-  stats.index_edges = index.num_edges();
-  stats.index_bytes = index.MemoryBytes();
   stats.method = use_join ? Method::kJoin : Method::kDfs;
 
   Timer enum_timer;

@@ -4,11 +4,18 @@
 //   3. if T̂ <= τ, run IDX-DFS directly;
 //   4. otherwise run the full-fledged optimizer (Alg. 5) and execute the
 //      cheaper of IDX-DFS and IDX-JOIN.
-// Keep one PathEnumerator per graph/session: it owns the reusable BFS
-// buffers, so repeated queries avoid O(|V|) re-initialisation.
+// Run is the one plain-query executor of the whole system: called directly
+// it builds uncached; the engines' scheduler workers (engine/scheduler.h)
+// each keep one PathEnumerator and pass their shared IndexCache and the
+// query's span, adding result-cache replay and index-cache reuse to the same
+// pipeline. Keep one PathEnumerator per graph/session: it owns the reusable
+// BFS buffers, so repeated queries avoid O(|V|) re-initialisation.
 #ifndef PATHENUM_CORE_PATH_ENUM_H_
 #define PATHENUM_CORE_PATH_ENUM_H_
 
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/constraints.h"
@@ -23,13 +30,38 @@
 
 namespace pathenum {
 
+class IndexCache;
+namespace obs {
+class QuerySpan;
+}  // namespace obs
+
+/// Grow-only scratch of the split queries one enumerator leads (DESIGN.md
+/// §8): the split IDX-JOIN's unit and merge tables plus the per-participant
+/// counters. Reused query after query, so the split steady state allocates
+/// nothing (§5); concurrent split queries have distinct leaders and so
+/// never share it.
+struct SplitScratch {
+  std::vector<uint32_t> starts;  // right-half units: the cut level set
+  std::vector<uint32_t> left;    // left-half tuples
+  /// Right-half tuples, one buffer per participant id.
+  std::vector<std::vector<uint32_t>> right;
+  /// Per start: its tuple range in right[range_worker[i]].
+  std::vector<std::pair<size_t, size_t>> ranges;
+  std::vector<uint32_t> range_worker;
+  std::vector<uint8_t> is_key;    // slot-indexed join-key set
+  std::vector<JoinGroup> groups;  // slot-indexed right-half groups
+  std::vector<EnumCounters> counters;  // per participant id
+
+  size_t Bytes() const;
+};
+
 /// Facade over index construction, the optimizer and both enumerators.
 ///
 /// Owns every piece of per-query scratch (BFS fields, enumerator stacks and
 /// mark arrays, join tuple tables, the bump arena for per-query-sized
-/// tables), so repeated queries through one instance reach a zero-allocation
-/// steady state. One instance serves one thread; the engine keeps one per
-/// worker (see src/engine/).
+/// tables, the split scratch), so repeated queries through one instance
+/// reach a zero-allocation steady state. One instance serves one thread; the
+/// scheduler keeps one per worker (see src/engine/).
 class PathEnumerator {
  public:
   /// Accepts a plain `Graph` (implicit borrowing view, version 0) or a live
@@ -43,8 +75,31 @@ class PathEnumerator {
   void Rebind(const GraphView& view) { view_ = view; }
 
   /// Runs q and streams every hop-constrained s-t path into `sink`.
-  /// `opts.method` selects IDX-DFS / IDX-JOIN / cost-based auto.
-  QueryStats Run(const Query& q, PathSink& sink, const EnumOptions& opts = {});
+  /// `opts.method` selects IDX-DFS / IDX-JOIN / cost-based auto. Every
+  /// per-run limit (deadline, result limit, sink stop) is re-armed from
+  /// `opts`, so a limit hit by one query never leaks into the next one.
+  /// The Figure-2 pipeline in one place: validate (throws
+  /// std::logic_error), replay a recorded result set from `cache` when one
+  /// is there, acquire the index (AcquireIndex), finalize an interrupted
+  /// build, then estimate, optimize and enumerate (RunWithIndex) —
+  /// recording a complete run back into the result cache. With `cache`
+  /// null nothing is shared: the index is built for this query only. The
+  /// cache may be shared across enumerators and threads (DESIGN.md §6).
+  /// `span` (optional) gets the index-acquire/enumerate stage marks and the
+  /// cache-outcome flags (DESIGN.md §12); the caller begins and finishes it.
+  QueryStats Run(const Query& q, PathSink& sink, const EnumOptions& opts = {},
+                 IndexCache* cache = nullptr, obs::QuerySpan* span = nullptr);
+
+  /// Builds — or fetches from `cache`, when one is given — the per-query
+  /// index of a plain, constrained or split (DESIGN.md §8) run. A cached
+  /// acquisition coalesces with concurrent builders of the same key and
+  /// publishes on a miss; `build_opts` must then come from BuildOptionsFor,
+  /// so split and serial executions share cache fingerprints. Charges build
+  /// stats to `stats` when it built and flags `stats.index_cache_hit` when
+  /// it did not; always fills the index size fields.
+  std::shared_ptr<const LightweightIndex> AcquireIndex(
+      const Query& q, const IndexBuilder::Options& build_opts,
+      IndexCache* cache, QueryStats& stats);
 
   /// The index-construction options Run would use for `q` under `opts` —
   /// exposed so the engine's cross-query cache keys (DESIGN.md §6) match
@@ -68,7 +123,7 @@ class PathEnumerator {
 
   /// Runs the post-construction pipeline (estimate, optimize, enumerate) on
   /// an externally provided index for `index.query()`, skipping the build —
-  /// the engine's index cache executes hits through this. `index` must have
+  /// Run's tail once it acquired the index. `index` must have
   /// been built over graph() with options at least as complete as
   /// BuildOptionsFor(index.query(), opts); it may be shared read-only with
   /// other threads. `stats.bfs_ms`/`index_ms` are 0 (nothing was built).
@@ -77,7 +132,8 @@ class PathEnumerator {
 
   /// Runs q under the Appendix-E constraint extensions. Constrained queries
   /// always use the (constrained) DFS enumerator; the edge predicate is
-  /// pushed down into index construction.
+  /// pushed down into index construction (an uncached AcquireIndex: a
+  /// predicate's identity cannot be fingerprinted).
   QueryStats RunConstrained(const Query& q, const PathConstraints& constraints,
                             PathSink& sink, const EnumOptions& opts = {});
 
@@ -98,36 +154,40 @@ class PathEnumerator {
                                : builder_.Build(view_.base(), q, opts);
   }
 
-  /// Bytes of reusable scratch currently held (enumerator marks/buffers plus
-  /// the arena's capacity). Stable across repeated identical queries — the
-  /// engine's no-allocation-in-steady-state tests assert exactly this.
+  /// Bytes of reusable scratch currently held (enumerator marks/buffers,
+  /// the arena's capacity and the split scratch). Stable across repeated
+  /// identical queries — the engine's no-allocation-in-steady-state tests
+  /// assert exactly this.
   size_t ScratchBytes() const {
-    return dfs_.ScratchBytes() + join_.ScratchBytes() + arena_.capacity_bytes();
+    return dfs_.ScratchBytes() + join_.ScratchBytes() +
+           arena_.capacity_bytes() + split_scratch_.Bytes();
   }
 
   const BumpArena& arena() const { return arena_; }
 
+  /// Enumerator handles for intra-query splitting (DESIGN.md §8): each
+  /// branch/materialization/probe unit runs on the scratch of the worker
+  /// that claimed it.
+  DfsEnumerator& split_dfs() { return dfs_; }
+  JoinEnumerator& split_join() { return join_; }
+
+  /// Scratch of the split queries this enumerator leads.
+  SplitScratch& split_scratch() { return split_scratch_; }
+
  private:
-  // Intra-query splitting (DESIGN.md §8) reuses dfs_/join_ per worker
-  // through QueryContext's split accessors.
-  friend class QueryContext;
-
-  /// Shared tail of Run/RunWithIndex: method choice and enumeration.
-  void ExecuteOnIndex(const LightweightIndex& index, QueryStats& stats,
-                      PathSink& sink, const EnumOptions& opts, Timer& total);
-
   GraphView view_;
   IndexBuilder builder_;
   DfsEnumerator dfs_;
   JoinEnumerator join_;
   BumpArena arena_;
+  SplitScratch split_scratch_;
 };
 
 /// Folds a finished enumeration's `counters` and timings into `stats`:
 /// `enumerate_ms` and `total_ms` (build included) as measured, and the
 /// response time as the preprocessing time plus the time to the
 /// response_target-th result (the whole query time if never reached). The
-/// one timing finalizer of the serial, cached and split execution paths.
+/// one timing finalizer of the plain, constrained and split execution paths.
 void FinalizeRun(QueryStats& stats, const EnumCounters& counters,
                  double enumerate_ms, double total_ms);
 

@@ -1,7 +1,6 @@
 #include "engine/index_cache.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "util/fault_injection.h"
 #include "util/timer.h"
@@ -60,7 +59,6 @@ struct IndexCache::Shard {
     std::shared_ptr<const CachedResultSet> result;
     size_t bytes = 0;
     uint64_t first_version = 0;
-    std::chrono::steady_clock::time_point inserted_at;
   };
   /// One in-flight build; waiters block on the shard cv until `done`.
   struct Inflight {
@@ -84,13 +82,6 @@ struct IndexCache::Shard {
   std::unordered_map<CacheKey, std::list<ResultEntry>::iterator, CacheKeyHash>
       result_map;
   size_t result_bytes = 0;
-
-  /// Admission counter: misses per key since the last Clear(). Coarsely
-  /// bounded — when it outgrows kSeenCap it resets, which at worst delays
-  /// an admission by one extra miss.
-  std::unordered_map<CacheKey, uint32_t, CacheKeyHash> seen;
-
-  static constexpr size_t kSeenCap = 1u << 16;
 };
 
 IndexCache::IndexCache(const IndexCacheOptions& opts) : opts_(opts) {
@@ -116,10 +107,8 @@ IndexCache::IndexCache(const IndexCacheOptions& opts) : opts_(opts) {
   counter("pathenum_cache_result_evictions_total", result_evictions_);
   counter("pathenum_cache_result_inserts_total", result_inserts_);
   counter("pathenum_cache_result_rejects_total", result_rejects_);
-  counter("pathenum_cache_admission_bypasses_total", admission_bypasses_);
   counter("pathenum_cache_invalidation_evictions_total",
           invalidation_evictions_);
-  counter("pathenum_cache_result_ttl_evictions_total", result_ttl_evictions_);
   reg.RegisterGauge(this, "pathenum_cache_index_bytes", label, [this] {
     return static_cast<double>(index_bytes_.load(std::memory_order_relaxed));
   });
@@ -174,19 +163,6 @@ std::shared_ptr<const LightweightIndex> IndexCache::GetOrBuild(
       // The build this thread piggybacked on threw; retry from scratch.
     }
     index_misses_.Inc();
-    if (opts_.admission_min_uses > 1) {
-      // Admission policy: keys below the use threshold build for the caller
-      // without registering or publishing — a one-shot key costs neither
-      // budget nor an eviction of a hotter entry.
-      if (shard.seen.size() >= Shard::kSeenCap) shard.seen.clear();
-      const uint32_t uses = ++shard.seen[key];
-      if (uses < opts_.admission_min_uses) {
-        admission_bypasses_.Inc();
-        lock.unlock();
-        if (was_hit != nullptr) *was_hit = false;
-        return std::make_shared<const LightweightIndex>(build());
-      }
-    }
     inflight = std::make_shared<Shard::Inflight>();
     inflight->generation = generation_.load(std::memory_order_relaxed);
     inflight->view_version = view_version;
@@ -280,14 +256,6 @@ std::shared_ptr<const LightweightIndex> IndexCache::PeekIndex(
              : nullptr;
 }
 
-bool IndexCache::ResultExpired(
-    const std::chrono::steady_clock::time_point& inserted_at) const {
-  if (opts_.result_ttl_ms <= 0.0) return false;
-  const auto age = std::chrono::steady_clock::now() - inserted_at;
-  return std::chrono::duration<double, std::milli>(age).count() >
-         opts_.result_ttl_ms;
-}
-
 std::shared_ptr<const CachedResultSet> IndexCache::GetResult(
     const CacheKey& key, uint64_t view_version) {
   Shard& shard = ShardFor(key);
@@ -295,15 +263,6 @@ std::shared_ptr<const CachedResultSet> IndexCache::GetResult(
   const auto it = shard.result_map.find(key);
   if (it == shard.result_map.end() ||
       it->second->first_version > view_version) {
-    result_misses_.Inc();
-    return nullptr;
-  }
-  if (ResultExpired(it->second->inserted_at)) {
-    shard.result_bytes -= it->second->bytes;
-    result_bytes_.fetch_sub(it->second->bytes, std::memory_order_relaxed);
-    shard.result_lru.erase(it->second);
-    shard.result_map.erase(it);
-    result_ttl_evictions_.Inc();
     result_misses_.Inc();
     return nullptr;
   }
@@ -318,8 +277,7 @@ bool IndexCache::HasResult(const CacheKey& key, uint64_t view_version) const {
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.result_map.find(key);
   return it != shard.result_map.end() &&
-         it->second->first_version <= view_version &&
-         !ResultExpired(it->second->inserted_at);
+         it->second->first_version <= view_version;
 }
 
 bool IndexCache::PutResult(const CacheKey& key,
@@ -341,8 +299,7 @@ bool IndexCache::PutResult(const CacheKey& key,
   if (shard.result_map.find(key) != shard.result_map.end()) {
     return true;  // a concurrent worker already recorded this key
   }
-  shard.result_lru.push_front({key, std::move(result), bytes, view_version,
-                               std::chrono::steady_clock::now()});
+  shard.result_lru.push_front({key, std::move(result), bytes, view_version});
   shard.result_map.emplace(key, shard.result_lru.begin());
   shard.result_bytes += bytes;
   result_bytes_.fetch_add(bytes, std::memory_order_relaxed);
@@ -379,9 +336,6 @@ void IndexCache::Clear(uint64_t new_version) {
     shard.result_map.clear();
     shard.result_lru.clear();
     shard.result_bytes = 0;
-    // A full clear accompanies a graph swap: admission history describes
-    // keys of the retired topology.
-    shard.seen.clear();
   }
 }
 
@@ -435,11 +389,7 @@ IndexCacheStats IndexCache::Stats() const {
   s.result_evictions = result_evictions_.Value();
   s.result_inserts = result_inserts_.Value();
   s.result_rejects = result_rejects_.Value();
-  s.admission_bypasses = admission_bypasses_.Value();
-  s.invalidation_evictions =
-      invalidation_evictions_.Value();
-  s.result_ttl_evictions =
-      result_ttl_evictions_.Value();
+  s.invalidation_evictions = invalidation_evictions_.Value();
   s.index_bytes = index_bytes_.load(std::memory_order_relaxed);
   s.result_bytes = result_bytes_.load(std::memory_order_relaxed);
   return s;

@@ -33,7 +33,6 @@
 #define PATHENUM_ENGINE_INDEX_CACHE_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -98,14 +97,6 @@ struct IndexCacheOptions {
   size_t max_result_entry_bytes = size_t{4} << 20;
   /// Rounded up to a power of two.
   uint32_t shards = 8;
-  /// Admission policy (ROADMAP): only build-and-publish an index once its
-  /// key has missed this many times — one-shot keys bypass the cache and
-  /// never consume budget. 1 admits everything (the pre-policy behavior).
-  uint32_t admission_min_uses = 1;
-  /// Result-cache TTL in milliseconds; an entry older than this is evicted
-  /// on lookup. 0 disables aging. Complements BeginEpoch invalidation for
-  /// deployments that prefer bounded staleness over precise tracking.
-  double result_ttl_ms = 0.0;
 };
 
 /// Counter snapshot (monotonic except the byte gauges).
@@ -124,13 +115,8 @@ struct IndexCacheStats {
   /// or by a snapshot-version mismatch (stale run completing after an
   /// epoch).
   uint64_t result_rejects = 0;
-  /// Misses whose key had not met admission_min_uses yet: the index was
-  /// built for the caller but not published.
-  uint64_t admission_bypasses = 0;
   /// Entries (index + result) dropped selectively by BeginEpoch.
   uint64_t invalidation_evictions = 0;
-  /// Result entries dropped because they outlived result_ttl_ms.
-  uint64_t result_ttl_evictions = 0;
   size_t index_bytes = 0;   // gauge: bytes currently cached
   size_t result_bytes = 0;  // gauge
 
@@ -146,9 +132,7 @@ struct IndexCacheStats {
     d.result_evictions -= o.result_evictions;
     d.result_inserts -= o.result_inserts;
     d.result_rejects -= o.result_rejects;
-    d.admission_bypasses -= o.admission_bypasses;
     d.invalidation_evictions -= o.invalidation_evictions;
-    d.result_ttl_evictions -= o.result_ttl_evictions;
     return d;
   }
 };
@@ -206,8 +190,7 @@ class IndexCache {
   std::shared_ptr<const LightweightIndex> PeekIndex(
       const CacheKey& key, uint64_t view_version = 0) const;
 
-  /// Result-cache lookup; counts a hit/miss, touches the LRU and expires
-  /// entries older than result_ttl_ms.
+  /// Result-cache lookup; counts a hit/miss and touches the LRU.
   std::shared_ptr<const CachedResultSet> GetResult(const CacheKey& key,
                                                    uint64_t view_version = 0);
 
@@ -221,7 +204,7 @@ class IndexCache {
                  std::shared_ptr<const CachedResultSet> result,
                  uint64_t view_version = 0);
 
-  /// Drops every cached entry (and the admission counters) and bumps the
+  /// Drops every cached entry and bumps the
   /// generation, so in-flight builds finish for their waiters but are not
   /// published. Call on full graph swap (RebindGraph). `new_version` resets
   /// the snapshot version to whatever the caller is about to serve — 0
@@ -257,10 +240,6 @@ class IndexCache {
 
   Shard& ShardFor(const CacheKey& key) const;
 
-  /// True when a result entry inserted at `inserted_at` outlived the TTL.
-  bool ResultExpired(
-      const std::chrono::steady_clock::time_point& inserted_at) const;
-
   IndexCacheOptions opts_;
   uint32_t shard_mask_ = 0;
   size_t index_budget_per_shard_ = 0;
@@ -281,9 +260,7 @@ class IndexCache {
   mutable obs::ShardedCounter result_evictions_;
   mutable obs::ShardedCounter result_inserts_;
   mutable obs::ShardedCounter result_rejects_;
-  mutable obs::ShardedCounter admission_bypasses_;
   mutable obs::ShardedCounter invalidation_evictions_;
-  mutable obs::ShardedCounter result_ttl_evictions_;
   std::atomic<size_t> index_bytes_{0};
   std::atomic<size_t> result_bytes_{0};
 };

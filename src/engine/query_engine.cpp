@@ -111,7 +111,8 @@ class BatchRun final : public TaskDone {
   void Finish(Task& task, const QueryStats& stats, std::string error,
               QueryState state) override {
     const TaskGroup& group = groups[task.slot];
-    const bool ran = DeliveredResults(state);
+    const bool ran =
+        DeliveredResults(state) && !stats.counters.oracle_rejected;
     for (size_t m = 0; m <= group.extra.size(); ++m) {
       const size_t qi = m == 0 ? group.rep : group.extra[m - 1];
       QueryStats mine = stats;
@@ -237,47 +238,6 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   std::vector<TaskGroup> groups =
       GroupQueries(queries, opts.dedup_identical && !opts.split_branches);
 
-  // The engine's one rejection gate, on this thread before any enqueue.
-  // Queries are untrusted input: an invalid one is rejected with a message
-  // and never reaches a worker. A group the live oracle certifies as
-  // dist(s,t) > k gets the complete empty result, every duplicate
-  // included, without an index build or a sink call. The epoch is pinned
-  // per batch, so rejection follows rebinds and publishes; the ValidFor
-  // gate (exact version + base uid) turns every mismatch into "no claims"
-  // — a racing publish can never produce a wrong rejection.
-  LiveDistanceOracle::EpochRef epoch =
-      live_oracle_ != nullptr ? live_oracle_->ForVersion(view_.version())
-                              : LiveDistanceOracle::EpochRef();
-  if (!epoch.ValidFor(view_)) epoch = LiveDistanceOracle::EpochRef();
-  std::erase_if(groups, [&](const TaskGroup& group) {
-    const Query& q = queries[group.rep];
-    const Status st = CheckQuery(view_, q);
-    const bool valid = st.ok();
-    if (valid && !epoch.Rejects(q.source, q.target, q.hops)) return false;
-    QueryStats shed;
-    shed.counters.oracle_rejected = valid;
-    const QueryState state =
-        valid ? QueryState::kUnsatisfiable : QueryState::kRejected;
-    if (valid) oracle_rejects_.Inc(1 + group.extra.size());
-    for (size_t m = 0; m <= group.extra.size(); ++m) {
-      const size_t qi = m == 0 ? group.rep : group.extra[m - 1];
-      result.stats[qi] = shed;
-      result.states[qi] = state;
-      if (!valid) result.errors[qi] = std::string(st.message());
-    }
-    // Spans keep their per-mode shape: a split query's span begins only
-    // once the query validated, a batch group's at admission.
-    if (valid || !opts.split_branches) {
-      obs::QuerySpan span;
-      span.Begin(q.source, q.target, q.hops);
-      if (opts.split_branches) span.SetSplit();
-      span.Mark(valid ? obs::SpanStage::kIndexAcquire
-                      : obs::SpanStage::kQueueWait);
-      span.Finish(state);
-    }
-    return true;
-  });
-
   // Cache-aware scheduling: replayable results first, then cached
   // indexes, then misses — hits clear the queue fast and each miss builds
   // solo on the worker that claims it.
@@ -309,18 +269,25 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
     g.fan = std::make_unique<FanoutSink>(std::move(fan_sinks));
   }
 
+  // The oracle epoch is pinned per batch, so rejection follows rebinds and
+  // publishes; the ValidFor gate (exact version + base uid) turns every
+  // mismatch into "no claims" — a racing publish can never produce a wrong
+  // rejection.
+  LiveDistanceOracle::EpochRef epoch =
+      live_oracle_ != nullptr ? live_oracle_->ForVersion(view_.version())
+                              : LiveDistanceOracle::EpochRef();
+  if (!epoch.ValidFor(view_)) epoch = LiveDistanceOracle::EpochRef();
+
   // A plain batch enqueues every group at once and idle workers claim
   // them; a split batch enqueues one query at a time, which the claiming
-  // worker leads and the idle workers help.
-  result.workers =
-      opts.split_branches
-          ? scheduler_.num_workers()
-          : static_cast<uint32_t>(std::clamp<size_t>(
-                groups.size(), 1, scheduler_.num_workers()));
+  // worker leads and the idle workers help. Each group passes the
+  // scheduler's gate first: a refused one — every duplicate included —
+  // completes without taking a queue slot.
   const auto run =
       std::make_shared<BatchRun>(std::move(groups), result, queries_run_);
   const auto snapshot = std::make_shared<const GraphView>(view_);
   const size_t step = opts.split_branches ? 1 : run->groups.size();
+  size_t admitted = 0;
   for (size_t first = 0; first < run->groups.size(); first += step) {
     {
       Scheduler::LockedQueue queue = scheduler_.Lock();
@@ -337,11 +304,21 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
         task.slot = gi;
         task.span.Begin(task.query.source, task.query.target,
                         task.query.hops);
-        queue.Push(std::move(task));
+        const QueryState verdict = queue.Gate(task, epoch);
+        if (verdict == QueryState::kOk) {
+          queue.Push(std::move(task));
+          ++admitted;
+        } else if (verdict == QueryState::kUnsatisfiable) {
+          oracle_rejects_.Inc(1 + group.extra.size());
+        }
       }
     }
     scheduler_.Drain();
   }
+  result.workers = opts.split_branches
+                       ? scheduler_.num_workers()
+                       : static_cast<uint32_t>(std::clamp<size_t>(
+                             admitted, 1, scheduler_.num_workers()));
   result.wall_ms = wall.ElapsedMs();
   if (cache != nullptr) result.cache = cache->Stats() - before;
   return result;

@@ -1,8 +1,10 @@
 // The batch QueryEngine: hop-constrained path queries at service scale.
 // Where PathEnumerator answers one query on the calling thread, the engine
 // keeps N workers alive across batches on the shared Scheduler (DESIGN.md
-// §5), each with a reusable QueryContext. RunBatch groups and gates the
-// batch on the caller thread, enqueues every group, and waits for the
+// §5), each with a reusable PathEnumerator. RunBatch groups the batch on
+// the caller thread, passes every group through the scheduler's one gate
+// (invalid queries complete as kRejected, oracle-certified ones as
+// kUnsatisfiable, neither enqueued), enqueues the rest, and waits for the
 // queue to drain: idle workers claim whole query groups. Optionally a
 // batch runs with intra-query parallelism: queries run one at a time, the
 // worker that claims one leads it, and its units — first-level DFS
@@ -174,9 +176,9 @@ class QueryEngine {
 
   /// Connects the standing live oracle (borrowed; null detaches). Each
   /// batch pins the oracle epoch matching the bound view's exact snapshot
-  /// version and base identity, and sheds the queries it certifies
-  /// unsatisfiable in O(|label| + |C|²) on the caller thread, before any
-  /// enqueue — across overlay rebinds and publishes alike. Any mismatch
+  /// version and base identity, and the scheduler's gate sheds the queries
+  /// it certifies unsatisfiable in O(|label| + |C|²) instead of enqueueing
+  /// them — across overlay rebinds and publishes alike. Any mismatch
   /// (racing publish, re-label, unrelated rebind) degrades to "no claim",
   /// never to a wrong rejection. Must not race RunBatch.
   void SetLiveOracle(const LiveDistanceOracle* oracle) {
@@ -197,9 +199,9 @@ class QueryEngine {
   /// IndexCache::BeginEpoch, which keep unaffected cache entries alive.
   void RebindGraph(const Graph& g);
 
-  /// Aggregate footprint/usage over all worker contexts.
+  /// Aggregate footprint/usage over all worker enumerators.
   struct EngineStats {
-    size_t scratch_bytes = 0;    // reusable scratch across all contexts
+    size_t scratch_bytes = 0;    // reusable scratch across all enumerators
     uint64_t queries_run = 0;    // queries executed since construction
     uint64_t batches_run = 0;
     /// Queries shed as kUnsatisfiable by the live oracle before dispatch,

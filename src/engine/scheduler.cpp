@@ -24,7 +24,7 @@ Scheduler::Scheduler(const GraphView& view, uint32_t num_workers) {
   const uint32_t n = WorkersFor(num_workers);
   contexts_.reserve(n);
   for (uint32_t w = 0; w < n; ++w) {
-    contexts_.push_back(std::make_unique<QueryContext>(view));
+    contexts_.push_back(std::make_unique<PathEnumerator>(view));
     idle_contexts_.push_back(contexts_.back().get());
   }
   threads_.reserve(n);
@@ -54,13 +54,32 @@ size_t Scheduler::queued() const {
 }
 
 Scheduler::LockedQueue::~LockedQueue() {
-  if (pushed_ == 0) return;
   lock_.unlock();
   if (pushed_ == 1) {
     s_.work_.notify_one();
-  } else {
+  } else if (pushed_ > 1) {
     s_.work_.notify_all();
   }
+  for (Unrun& u : unrun_) u.task.FinishUnrun(u.state, std::move(u.error));
+}
+
+QueryState Scheduler::LockedQueue::Gate(
+    Task& task, const LiveDistanceOracle::EpochRef& epoch) {
+  // Queries are untrusted input: an invalid one never takes a queue slot.
+  // A valid one the epoch certifies as dist(s,t) > k has the complete,
+  // empty result without an index build or a sink call.
+  const Query& q = task.query;
+  const Status st = CheckQuery(*task.snapshot, q);
+  if (!st.ok()) {
+    FinishUnrun(std::move(task), QueryState::kRejected,
+                std::string(st.message()));
+    return QueryState::kRejected;
+  }
+  if (epoch.Rejects(q.source, q.target, q.hops)) {
+    FinishUnrun(std::move(task), QueryState::kUnsatisfiable);
+    return QueryState::kUnsatisfiable;
+  }
+  return QueryState::kOk;
 }
 
 void Scheduler::LockedQueue::Push(Task&& task) {
@@ -68,16 +87,15 @@ void Scheduler::LockedQueue::Push(Task&& task) {
   ++pushed_;
 }
 
+void Scheduler::LockedQueue::FinishUnrun(Task&& task, QueryState state,
+                                         std::string error) {
+  unrun_.push_back({std::move(task), state, std::move(error)});
+}
+
 Task Scheduler::LockedQueue::PopOldest() {
   Task task = std::move(s_.queue_.front());
   s_.queue_.pop_front();
   return task;
-}
-
-std::deque<Task> Scheduler::LockedQueue::TakeAll() {
-  std::deque<Task> tasks;
-  tasks.swap(s_.queue_);
-  return tasks;
 }
 
 void Scheduler::LockedQueue::WaitForRoom(size_t capacity) {
@@ -109,7 +127,7 @@ void Scheduler::WorkerLoop(uint32_t worker) {
   for (;;) {
     Task task;
     std::shared_ptr<SplitBarrier> help;
-    QueryContext* ctx = nullptr;
+    PathEnumerator* ctx = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_.wait(lock, [&] {
@@ -160,35 +178,34 @@ void Scheduler::WorkerLoop(uint32_t worker) {
   }
 }
 
-void Scheduler::Execute(uint32_t worker, QueryContext& ctx, Task& task) {
+void Scheduler::Execute(uint32_t worker, PathEnumerator& ctx, Task& task) {
+  if (task.opts.cancel.cancelled()) {
+    // Cancelled while queued: complete without touching the sink. Count
+    // before the finish: a waiter woken by it must already see this.
+    cancelled_before_run_.Inc();
+    task.FinishUnrun(QueryState::kCancelled);
+    return;
+  }
   // The worker's claim ends the queue-wait stage on every path below.
   task.span.Mark(obs::SpanStage::kQueueWait);
+  if (task.split) task.span.SetSplit();
   QueryStats stats;  // assigned only by a run that returned
   std::string error;
   QueryState state = QueryState::kOk;
   try {
     fault::Hit(fault::Site::kTaskClaim);
-    if (task.opts.cancel.cancelled()) {
-      // Cancelled while queued: complete without touching the sink. Count
-      // before Finish: a waiter woken by it must already see this.
-      stats.counters.cancelled = true;
-      cancelled_before_run_.Inc();
+    // The enumerator runs on exactly the task's snapshot; the rebind is a
+    // view copy, free of scratch churn.
+    ctx.Rebind(*task.snapshot);
+    if (task.split) {
+      // The index is acquired once on the task's snapshot and is
+      // immutable from here on: every unit, whichever worker runs it,
+      // observes exactly this snapshot.
+      stats = RunSplitQuery(*this, worker, ctx, task.query, *task.sink,
+                            task.opts, task.cache, task.span);
     } else {
-      if (task.split) task.span.SetSplit();
-      // The context runs on exactly the task's snapshot; the rebind is a
-      // view copy, free of scratch churn.
-      ctx.Rebind(*task.snapshot);
-      if (task.split) {
-        // The index is acquired once on the task's snapshot and is
-        // immutable from here on: every unit, whichever worker runs it,
-        // observes exactly this snapshot.
-        ValidateQuery(*task.snapshot, task.query);
-        stats = RunSplitQuery(*this, worker, ctx, task.query, *task.sink,
-                              task.opts, task.cache, task.span);
-      } else {
-        stats = ctx.RunCached(task.query, *task.sink, task.opts, task.cache,
-                              &task.span);
-      }
+      stats = ctx.Run(task.query, *task.sink, task.opts, task.cache,
+                      &task.span);
     }
     state = stats.counters.TerminalState();
   } catch (const std::logic_error& e) {
@@ -224,16 +241,16 @@ std::shared_ptr<Scheduler::SplitBarrier> Scheduler::ClaimSplitWorkLocked() {
   return nullptr;
 }
 
-QueryContext* Scheduler::TakeContextLocked(QueryContext* preferred) {
+PathEnumerator* Scheduler::TakeContextLocked(PathEnumerator* preferred) {
   // Never empty: each worker holds at most one context.
   auto it = std::find(idle_contexts_.begin(), idle_contexts_.end(), preferred);
   if (it == idle_contexts_.end()) it = std::prev(idle_contexts_.end());
-  QueryContext* ctx = *it;
+  PathEnumerator* ctx = *it;
   idle_contexts_.erase(it);
   return ctx;
 }
 
-void Scheduler::RunPhase(uint32_t leader, QueryContext& ctx,
+void Scheduler::RunPhase(uint32_t leader, PathEnumerator& ctx,
                          SplitPhase& phase) {
   // Helpers hold the barrier past their last touch of the leader's stack.
   const auto barrier = std::make_shared<SplitBarrier>();

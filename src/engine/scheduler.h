@@ -1,16 +1,19 @@
 // The one worker scheduler both engines run on (DESIGN.md §5, §8): N
 // persistent worker threads serve one FIFO queue of query tasks, drawing on
-// N reusable QueryContexts. A task carries its query, sink, options and the
-// snapshot it observes; the claiming worker takes a context, rebinds it to
-// that snapshot (cheap: scratch survives), runs the query — plain through
-// QueryContext::RunCached, split through RunSplitQuery — and hands the
+// N reusable PathEnumerators. A task carries its query, sink, options and
+// the snapshot it observes; the claiming worker takes an enumerator, rebinds
+// it to that snapshot (cheap: scratch survives), runs the query — plain
+// through PathEnumerator::Run, split through RunSplitQuery — and hands the
 // outcome to the task's TaskDone. A split query is led by the worker that
 // claimed it: each fan-out phase is published here, and idle workers help
 // drain its units between queue pops.
 //
-// QueryEngine enqueues a batch's query groups and waits for the queue to
-// drain; AsyncEngine keeps admission (oracle gate, shed policies, tickets)
-// and pushes each admitted ticket under the queue lock.
+// Both engines admit through the one gate, LockedQueue::Gate, under the
+// queue lock just before they decide whether to push: an invalid query
+// completes as kRejected and an oracle-certified unsatisfiable one as
+// kUnsatisfiable, neither taking a queue slot. QueryEngine pushes a batch's
+// query groups and waits for the queue to drain; AsyncEngine keeps the shed
+// policies, tickets, snapshots and updates and pushes each admitted ticket.
 #ifndef PATHENUM_ENGINE_SCHEDULER_H_
 #define PATHENUM_ENGINE_SCHEDULER_H_
 
@@ -24,11 +27,12 @@
 #include <vector>
 
 #include "core/options.h"
+#include "core/path_enum.h"
 #include "core/query.h"
 #include "core/sink.h"
 #include "engine/index_cache.h"
-#include "engine/query_context.h"
 #include "graph/view.h"
+#include "live/live_oracle.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -38,8 +42,8 @@ struct SplitPhase;
 struct Task;
 
 /// Where a task's outcome goes. Finish is called exactly once per task —
-/// by the worker that ran it, or by whoever completed it without running
-/// (an engine's shed or shutdown path) — and finishes `task.span`.
+/// by the worker that ran it, or through Task::FinishUnrun — and finishes
+/// `task.span`.
 class TaskDone {
  public:
   virtual ~TaskDone() = default;
@@ -66,6 +70,21 @@ struct Task {
   void Finish(const QueryStats& stats, std::string error, QueryState state) {
     done->Finish(*this, stats, std::move(error), state);
   }
+
+  /// Completes the task without running it: refused at the gate, shed,
+  /// orphaned by a cancelling shutdown, cancelled before its claim, or
+  /// submitted after shutdown. One span shape for all of them: the task's
+  /// whole life was queue wait. kCancelled and kUnsatisfiable set their
+  /// counter flag (TerminalState round-trips it); `error` is the kRejected
+  /// message.
+  void FinishUnrun(QueryState state, std::string error = {}) {
+    span.Mark(obs::SpanStage::kQueueWait);
+    if (split) span.SetSplit();
+    QueryStats stats;
+    stats.counters.cancelled = state == QueryState::kCancelled;
+    stats.counters.oracle_rejected = state == QueryState::kUnsatisfiable;
+    Finish(stats, std::move(error), state);
+  }
 };
 
 class Scheduler {
@@ -82,8 +101,8 @@ class Scheduler {
   /// kMaxWorkers.
   static uint32_t WorkersFor(uint32_t requested);
 
-  /// Starts WorkersFor(num_workers) workers and as many contexts bound to
-  /// `view`. The worker-count check fires before any thread starts.
+  /// Starts WorkersFor(num_workers) workers and as many enumerators bound
+  /// to `view`. The worker-count check fires before any thread starts.
   Scheduler(const GraphView& view, uint32_t num_workers);
 
   /// Shuts down: queued tasks still run.
@@ -96,15 +115,17 @@ class Scheduler {
     return static_cast<uint32_t>(threads_.size());
   }
 
-  /// Reusable scratch over all contexts; read while the workers are idle.
+  /// Reusable scratch over all enumerators; read while the workers are
+  /// idle.
   size_t ScratchBytes() const;
 
   /// Tasks queued, not yet claimed.
   size_t queued() const;
 
-  /// The queue held under its lock: admission decisions (capacity,
-  /// shedding, snapshot capture) are atomic with the push. Workers are
-  /// woken for the pushed tasks once the hold is released.
+  /// The queue held under its lock: admission decisions (the gate,
+  /// capacity, shedding, snapshot capture) are atomic with the push.
+  /// Workers are woken for the pushed tasks, and the tasks finished
+  /// without running complete, once the hold is released.
   class LockedQueue {
    public:
     explicit LockedQueue(Scheduler& s) : s_(s), lock_(s.mutex_) {}
@@ -118,22 +139,37 @@ class Scheduler {
     /// EWMA of task wall time (0 before the first task finished).
     double avg_task_ms() const { return s_.avg_task_ms_; }
 
+    /// The one admission gate of both engines, called just before the
+    /// push decision: CheckQuery against the task's snapshot, then
+    /// `epoch`'s unsatisfiability claim. Returns kOk when the task may be
+    /// pushed. Otherwise the task is taken over and finished without
+    /// running once the hold is released — kRejected with CheckQuery's
+    /// message, or kUnsatisfiable — and the refusal's state is returned.
+    QueryState Gate(Task& task, const LiveDistanceOracle::EpochRef& epoch);
     void Push(Task&& task);
+    /// Takes `task` over and completes it through Task::FinishUnrun once
+    /// the hold is released, outside the queue lock.
+    void FinishUnrun(Task&& task, QueryState state, std::string error = {});
     /// Removes and returns the oldest queued task; the queue must not be
     /// empty.
     Task PopOldest();
     /// Refuses further pushes: shut_down() reads true from here on.
     void Close() { s_.shutdown_ = true; }
-    /// Removes every queued task, for the caller to complete.
-    std::deque<Task> TakeAll();
     /// Blocks until fewer than `capacity` tasks are queued or the
     /// scheduler shuts down.
     void WaitForRoom(size_t capacity);
 
    private:
+    struct Unrun {
+      Task task;
+      QueryState state;
+      std::string error;
+    };
+
     Scheduler& s_;
     std::unique_lock<std::mutex> lock_;
     uint32_t pushed_ = 0;
+    std::vector<Unrun> unrun_;  // finished once the hold is released
   };
   LockedQueue Lock() { return LockedQueue(*this); }
 
@@ -146,10 +182,11 @@ class Scheduler {
   void Shutdown();
 
   /// Runs one phase of a split query led by `leader` — the worker running
-  /// that query's task on `ctx`: publishes the phase so idle workers help
-  /// between queue pops, participates as the leader, retires the phase and
-  /// waits out the helpers that joined. Participant ids are worker ids.
-  void RunPhase(uint32_t leader, QueryContext& ctx, SplitPhase& phase);
+  /// that query's task on enumerator `ctx`: publishes the phase so idle
+  /// workers help between queue pops, participates as the leader, retires
+  /// the phase and waits out the helpers that joined. Participant ids are
+  /// worker ids.
+  void RunPhase(uint32_t leader, PathEnumerator& ctx, SplitPhase& phase);
 
   /// Tasks run by a worker since construction.
   const obs::ShardedCounter& executed() const { return executed_; }
@@ -173,7 +210,7 @@ class Scheduler {
   void WorkerLoop(uint32_t worker);
   /// Claim-to-Finish of one task on `worker` and `ctx`: the shared rebind,
   /// run and failure-isolation rule of both engines.
-  void Execute(uint32_t worker, QueryContext& ctx, Task& task);
+  void Execute(uint32_t worker, PathEnumerator& ctx, Task& task);
 
   /// True when some published phase still has unclaimed units; mutex_
   /// must be held.
@@ -181,21 +218,22 @@ class Scheduler {
   /// Registers the caller as a helper on a published phase with unclaimed
   /// units, or returns null; mutex_ must be held.
   std::shared_ptr<SplitBarrier> ClaimSplitWorkLocked();
-  /// Removes `preferred` from the idle contexts when it is there, else the
-  /// most recently returned one, and returns it; mutex_ must be held.
-  QueryContext* TakeContextLocked(QueryContext* preferred);
+  /// Removes `preferred` from the idle enumerators when it is there, else
+  /// the most recently returned one, and returns it; mutex_ must be held.
+  PathEnumerator* TakeContextLocked(PathEnumerator* preferred);
 
-  std::vector<std::unique_ptr<QueryContext>> contexts_;
+  /// One enumerator per worker: each carries a worker's reusable scratch.
+  std::vector<std::unique_ptr<PathEnumerator>> contexts_;
 
   mutable std::mutex mutex_;
-  /// Contexts no worker holds. A worker runs a plain task or a split phase
-  /// on its own context (contexts_[worker]) when that is idle, so its
+  /// Enumerators no worker holds. A worker runs a plain task or a split
+  /// phase on its own one (contexts_[worker]) when that is idle, so its
   /// scratch stays warm on its core. A split query's leader takes the most
-  /// recently returned context instead, and returns it after its helpers
+  /// recently returned enumerator instead, and returns it after its helpers
   /// returned theirs: split queries run one at a time keep being led on
-  /// one context, so the leader-only index build and split scratch are not
-  /// replicated into every context.
-  std::vector<QueryContext*> idle_contexts_;
+  /// one enumerator, so the leader-only index build and split scratch are
+  /// not replicated into every one.
+  std::vector<PathEnumerator*> idle_contexts_;
   std::condition_variable work_;   // queue or split work, or shutdown
   std::condition_variable room_;   // a task left the queue
   std::condition_variable idle_;   // queue empty and nothing in flight

@@ -61,7 +61,7 @@ class SplitRun {
  public:
   SplitRun(const LightweightIndex& index, PathSink& sink,
            const EnumOptions& opts, Scheduler& scheduler, uint32_t leader,
-           QueryContext& lead_ctx)
+           PathEnumerator& lead_ctx)
       : index_(index),
         opts_(opts),
         scheduler_(scheduler),
@@ -84,7 +84,8 @@ class SplitRun {
   void RunDfs(EnumCounters& out, obs::QuerySpan& span) {
     const auto branches =
         index_.OutSlotsWithin(index_.source_slot(), index_.hops() - 1);
-    RunPhase(branches.size(), [&](QueryContext& ctx, uint32_t, uint32_t b) {
+    RunPhase(branches.size(), [&](PathEnumerator& ctx, uint32_t,
+                                  uint32_t b) {
       EnumCounters c = ctx.split_dfs().RunBranch(index_, branches[b], sink_,
                                                  UnitOptions());
       // RunBranch charges both partials of its chain — (s) and
@@ -140,7 +141,7 @@ class SplitRun {
         opts_.partial_memory_limit_bytes / (2 * sizeof(uint32_t));
     std::atomic<bool> keys_ready{false};
 
-    RunPhase(starts.size() + 1, [&](QueryContext& ctx, uint32_t worker,
+    RunPhase(starts.size() + 1, [&](PathEnumerator& ctx, uint32_t worker,
                                     uint32_t u) {
       JoinEnumerator& join = ctx.split_join();
       if (u == 0) {
@@ -193,7 +194,7 @@ class SplitRun {
       const size_t num_left = left.size() / left_width;
       constexpr size_t kProbeChunk = 64;
       RunPhase((num_left + kProbeChunk - 1) / kProbeChunk,
-               [&](QueryContext& ctx, uint32_t, uint32_t chunk) {
+               [&](PathEnumerator& ctx, uint32_t, uint32_t chunk) {
                  const size_t begin = static_cast<size_t>(chunk) * kProbeChunk;
                  return ctx.split_join().ProbeUnit(
                      index_, cut, left, begin,
@@ -245,7 +246,7 @@ class SplitRun {
     SplitPhase phase;
     phase.units = static_cast<uint32_t>(units);
     phase.stop_claims = &stop_claims_;
-    phase.participate = [&](uint32_t worker, QueryContext& ctx) {
+    phase.participate = [&](uint32_t worker, PathEnumerator& ctx) {
       try {
         EnumCounters mine;
         while (!stop_claims_.load(std::memory_order_relaxed)) {
@@ -280,7 +281,7 @@ class SplitRun {
   const EnumOptions& opts_;
   Scheduler& scheduler_;
   const uint32_t leader_;
-  QueryContext& lead_ctx_;
+  PathEnumerator& lead_ctx_;
   SplitScratch& scratch_;
   const uint32_t participants_;
   Timer timer_;  // enumeration stopwatch (response_ms, enumerate_ms)
@@ -295,9 +296,9 @@ class SplitRun {
 }  // namespace
 
 QueryStats RunSplitQuery(Scheduler& scheduler, uint32_t leader,
-                         QueryContext& lead_ctx, const Query& q, PathSink& sink,
-                         const EnumOptions& opts, IndexCache* cache,
-                         obs::QuerySpan& span) {
+                         PathEnumerator& lead_ctx, const Query& q,
+                         PathSink& sink, const EnumOptions& opts,
+                         IndexCache* cache, obs::QuerySpan& span) {
   QueryStats stats;
   Timer total;
   // The same BuildOptionsFor fingerprint and PlanExecution pipeline as the

@@ -14,10 +14,10 @@
 #include <functional>
 
 #include "core/options.h"
+#include "core/path_enum.h"
 #include "core/query.h"
 #include "core/sink.h"
 #include "engine/index_cache.h"
-#include "engine/query_context.h"
 #include "obs/span.h"
 
 namespace pathenum {
@@ -31,7 +31,7 @@ struct SplitPhase {
   /// worker id — distinct among concurrent participants — and `ctx` that
   /// worker's context. Never throws: the driver records a failure,
   /// stops the phase, and rethrows it on the leader after the barrier.
-  std::function<void(uint32_t worker, QueryContext& ctx)> participate;
+  std::function<void(uint32_t worker, PathEnumerator& ctx)> participate;
   std::atomic<uint32_t> cursor{0};
   uint32_t units = 0;
   const std::atomic<bool>* stop_claims = nullptr;
@@ -44,9 +44,10 @@ struct SplitPhase {
   }
 };
 
-/// Runs one validated query with its work split across `scheduler`'s workers,
-/// led by worker `leader` (the caller) on `lead_ctx`: acquires the index
-/// through that context (and `cache`, when given — the index cache only, since
+/// Runs one gated (hence valid) query with its work split across
+/// `scheduler`'s workers, led by worker `leader` (the caller) on `lead_ctx`:
+/// acquires the index through PathEnumerator::AcquireIndex (and `cache`, when
+/// given — the index cache only, since
 /// a split run's sink interleaving is nondeterministic and so never recorded
 /// for replay), plans exactly like the serial path, publishes the planned
 /// method's phases through Scheduler::RunPhase, and merges the counters. `sink`
@@ -57,9 +58,9 @@ struct SplitPhase {
 /// stops every other one; the first failure is rethrown here as
 /// std::runtime_error.
 QueryStats RunSplitQuery(Scheduler& scheduler, uint32_t leader,
-                         QueryContext& lead_ctx, const Query& q, PathSink& sink,
-                         const EnumOptions& opts, IndexCache* cache,
-                         obs::QuerySpan& span);
+                         PathEnumerator& lead_ctx, const Query& q,
+                         PathSink& sink, const EnumOptions& opts,
+                         IndexCache* cache, obs::QuerySpan& span);
 
 }  // namespace pathenum
 

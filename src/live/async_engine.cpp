@@ -1,6 +1,5 @@
 #include "live/async_engine.h"
 
-#include <deque>
 #include <utility>
 
 namespace pathenum {
@@ -164,75 +163,54 @@ QueryTicket AsyncEngine::Admit(const Query& q, PathSink& sink,
   task.done = state;
   WireCancel(state->cancel, task.opts);
   task.span.Begin(q.source, q.target, q.hops);
-  bool unsat = false;
-  {
-    Scheduler::LockedQueue queue = scheduler_.Lock();
-    for (;;) {
-      if (queue.shut_down()) {
-        if (!block_when_full) {
-          queue_rejects_.Inc();
-          return QueryTicket();
-        }
-        task.Finish(QueryStats{}, "engine is shut down",
-                    QueryState::kRejected);
-        return QueryTicket(std::move(state));
-      }
-      // The snapshot (and its oracle epoch) is captured while holding the
-      // queue lock so ticket version order is consistent with admission
-      // order; SubmitUpdate publishes outside this lock, so a submission
-      // observes either the old or the new snapshot — never a half-
-      // published one, and never an oracle epoch from a different version.
-      const SnapshotManager::Published pub = snapshots_.CurrentPublished();
-      task.snapshot = pub.snapshot;
-      state->snapshot_version = task.snapshot->version();
-      // The engine's one rejection gate, ahead of the full-queue policy:
-      // a certified-unsatisfiable submission never occupies a queue slot,
-      // so it can neither shed useful queued work nor wait for room.
-      if (pub.oracle.Rejects(q.source, q.target, q.hops)) {
-        oracle_rejects_.Inc();
-        unsat = true;
-        break;
-      }
-      if (queue.queued() < opts_.max_queue) break;
-      if (opts_.shed_policy == AsyncEngineOptions::ShedPolicy::kCancelOldest) {
-        ShedOldest(queue);  // make room; this submission is admitted
-        break;
-      }
+  Scheduler::LockedQueue queue = scheduler_.Lock();
+  for (;;) {
+    if (queue.shut_down()) {
       if (!block_when_full) {
         queue_rejects_.Inc();
-        if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterMs(queue);
         return QueryTicket();
       }
-      queue.WaitForRoom(opts_.max_queue);
-      // Room may come with a newer snapshot: capture it and gate again.
+      queue.FinishUnrun(std::move(task), QueryState::kRejected,
+                        "engine is shut down");
+      return QueryTicket(std::move(state));
     }
-    submitted_.Inc();
-    if (!unsat) queue.Push(std::move(task));
+    // The snapshot (and its oracle epoch) is captured while holding the
+    // queue lock so ticket version order is consistent with admission
+    // order; SubmitUpdate publishes outside this lock, so a submission
+    // observes either the old or the new snapshot — never a half-published
+    // one, and never an oracle epoch from a different version.
+    const SnapshotManager::Published pub = snapshots_.CurrentPublished();
+    task.snapshot = pub.snapshot;
+    state->snapshot_version = task.snapshot->version();
+    // The scheduler's gate, ahead of the full-queue policy: an invalid or
+    // certified-unsatisfiable submission never occupies a queue slot, so
+    // it can neither shed useful queued work nor wait for room. The ticket
+    // completes once the queue hold is released, before this returns.
+    const QueryState verdict = queue.Gate(task, pub.oracle);
+    if (verdict != QueryState::kOk) {
+      submitted_.Inc();
+      if (verdict == QueryState::kUnsatisfiable) oracle_rejects_.Inc();
+      return QueryTicket(std::move(state));
+    }
+    if (queue.queued() < opts_.max_queue) break;
+    if (opts_.shed_policy == AsyncEngineOptions::ShedPolicy::kCancelOldest) {
+      // Oldest loses: its whole life was queue wait. This submission is
+      // admitted into the room.
+      queue.FinishUnrun(queue.PopOldest(), QueryState::kCancelled);
+      sheds_.Inc();
+      break;
+    }
+    if (!block_when_full) {
+      queue_rejects_.Inc();
+      if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterMs(queue);
+      return QueryTicket();
+    }
+    queue.WaitForRoom(opts_.max_queue);
+    // Room may come with a newer snapshot: capture it and gate again.
   }
-  if (unsat) CompleteUnsatisfiable(task);
+  submitted_.Inc();
+  queue.Push(std::move(task));
   return QueryTicket(std::move(state));
-}
-
-void AsyncEngine::CompleteUnsatisfiable(Task& task) {
-  // Oracle-rejected at admission, completed outside the queue lock with the
-  // full observability contract: zero-width queue_wait / index_acquire
-  // stages, a terminal kUnsatisfiable span, and the oracle_rejected counter
-  // flag (TerminalState round-trips it for batch-shaped consumers).
-  task.span.Mark(obs::SpanStage::kQueueWait);
-  task.span.Mark(obs::SpanStage::kIndexAcquire);
-  QueryStats stats;
-  stats.counters.oracle_rejected = true;
-  task.Finish(stats, "", QueryState::kUnsatisfiable);
-}
-
-void AsyncEngine::ShedOldest(Scheduler::LockedQueue& queue) {
-  Task victim = queue.PopOldest();
-  sheds_.Inc();
-  QueryStats stats;
-  stats.counters.cancelled = true;
-  // The victim's whole life was queue wait; its span records that.
-  victim.span.Mark(obs::SpanStage::kQueueWait);
-  victim.Finish(stats, "", QueryState::kCancelled);
 }
 
 double AsyncEngine::RetryAfterMs(const Scheduler::LockedQueue& queue) const {
@@ -283,19 +261,15 @@ Status AsyncEngine::TrySubmitUpdate(const GraphDelta& delta,
 }
 
 void AsyncEngine::Shutdown(bool cancel_pending) {
-  std::deque<Task> orphans;
   {
     Scheduler::LockedQueue queue = scheduler_.Lock();
     queue.Close();
-    // With cancel_pending the queued tickets never run: complete them as
-    // kCancelled (outside the lock) so no waiter hangs on a dead queue.
-    if (cancel_pending) orphans = queue.TakeAll();
-  }
-  for (Task& task : orphans) {
-    QueryStats stats;
-    stats.counters.cancelled = true;
-    task.span.Mark(obs::SpanStage::kQueueWait);
-    task.Finish(stats, "", QueryState::kCancelled);
+    // With cancel_pending the queued tickets never run: they complete as
+    // kCancelled once the hold is released, so no waiter hangs on a dead
+    // queue.
+    while (cancel_pending && queue.queued() > 0) {
+      queue.FinishUnrun(queue.PopOldest(), QueryState::kCancelled);
+    }
   }
   // Workers run whatever remains queued (every ticket completes), then
   // exit.

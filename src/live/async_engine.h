@@ -21,8 +21,10 @@
 // on a split ticket — while OnPath-only sinks transparently receive the
 // decoded per-path sequence.
 // The ticket's Wait() synchronizes with the query's completion. The engine
-// itself keeps only admission — the oracle gate, the shed policies,
-// tickets, snapshots and updates; the scheduler runs what it admits.
+// itself keeps only admission — the shed policies, tickets, snapshots and
+// updates; every submission passes the scheduler's one gate
+// (Scheduler::LockedQueue::Gate: query validation, then the oracle) before
+// the full-queue policy, and the scheduler runs what it admits.
 // Shutdown drains the admission queue before stopping the workers; the
 // destructor shuts down.
 #ifndef PATHENUM_LIVE_ASYNC_ENGINE_H_
@@ -176,15 +178,18 @@ class AsyncEngine {
 
   /// Enqueues `q` against the current snapshot; `sink` receives the paths
   /// from a worker thread and must outlive the query (use the ticket).
-  /// Blocks while the admission queue is full (kRejectNewest) unless the
-  /// oracle rejects the query first; returns an errored ticket after
-  /// Shutdown.
+  /// An invalid query (CheckQuery) returns a ticket already done as
+  /// kRejected with the validation message, and an oracle-certified one a
+  /// ticket done as kUnsatisfiable; neither takes a queue slot. Otherwise
+  /// blocks while the admission queue is full (kRejectNewest); returns an
+  /// errored ticket after Shutdown.
   QueryTicket Submit(const Query& q, PathSink& sink,
                      const EnumOptions& opts = {});
   QueryTicket Submit(const Query& q, PathSink& sink,
                      const SubmitOptions& opts);
 
-  /// Non-blocking Submit. Under kRejectNewest a full queue (or a shut-down
+  /// Non-blocking Submit. Refuses invalid and oracle-certified queries
+  /// exactly like Submit. Under kRejectNewest a full queue (or a shut-down
   /// engine) yields an invalid ticket, counts a reject, and — when
   /// `retry_after_ms` is non-null — writes a backlog-derived hint for when
   /// to retry. Under kCancelOldest a full queue sheds the oldest queued
@@ -262,19 +267,11 @@ class AsyncEngine {
   /// they refuse: under kRejectNewest a full queue makes Submit
   /// (`block_when_full`) wait for room and TrySubmit return an invalid
   /// ticket with a retry hint; after Shutdown, Submit returns an errored
-  /// ticket and TrySubmit an invalid one. Consults the live oracle before
-  /// the full-queue policy, so an unsatisfiable submission completes at
+  /// ticket and TrySubmit an invalid one. Passes the scheduler's gate
+  /// before the full-queue policy, so a refused submission completes at
   /// once and never sheds or waits.
   QueryTicket Admit(const Query& q, PathSink& sink, const SubmitOptions& opts,
                     bool block_when_full, double* retry_after_ms);
-
-  /// Finishes an admission-time oracle rejection: terminal kUnsatisfiable
-  /// span + ticket completion. Called outside the queue lock.
-  static void CompleteUnsatisfiable(Task& task);
-
-  /// Completes the oldest queued task as kCancelled (the kCancelOldest
-  /// shed); `queue` must be non-empty.
-  void ShedOldest(Scheduler::LockedQueue& queue);
 
   /// Backlog-derived retry hint for a rejected TrySubmit.
   double RetryAfterMs(const Scheduler::LockedQueue& queue) const;

@@ -513,49 +513,6 @@ TEST(CacheEpochTest, ClearAfterEpochRealignsVersionSoPublicationResumes) {
   EXPECT_GE(delta.result_hits + delta.index_hits, 1u);
 }
 
-TEST(CacheAdmissionTest, OneShotKeysBypassUntilSecondUse) {
-  const Graph g = PathGraph(12);
-  const GraphView v0(g);
-  IndexCacheOptions opts;
-  opts.admission_min_uses = 2;
-  IndexCache cache(opts);
-  const Query q{0, 6, 6};
-  int builds = 0;
-  const auto build = [&] {
-    ++builds;
-    return BuildFor(v0, q);
-  };
-
-  bool hit = true;
-  cache.GetOrBuild(KeyFor(q), build, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(cache.Stats().admission_bypasses, 1u);
-  EXPECT_EQ(cache.PeekIndex(KeyFor(q)), nullptr);  // not published
-
-  cache.GetOrBuild(KeyFor(q), build, &hit);  // second use: admitted
-  EXPECT_FALSE(hit);
-  EXPECT_NE(cache.PeekIndex(KeyFor(q)), nullptr);
-
-  cache.GetOrBuild(KeyFor(q), build, &hit);  // third use: a hit
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(builds, 2);
-  EXPECT_EQ(cache.Stats().index_hits, 1u);
-}
-
-TEST(CacheTtlTest, ResultEntriesExpire) {
-  IndexCacheOptions opts;
-  opts.result_ttl_ms = 1.0;  // expire almost immediately
-  IndexCache cache(opts);
-  auto result = std::make_shared<CachedResultSet>();
-  result->offsets.push_back(0);
-  const CacheKey key{0, 1, 2, 0};
-  ASSERT_TRUE(cache.PutResult(key, result));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(cache.HasResult(key));
-  EXPECT_EQ(cache.GetResult(key), nullptr);
-  EXPECT_EQ(cache.Stats().result_ttl_evictions, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Engine on views + invalidation racing RunBatch
 // ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@
 #include "core/path_enum.h"
 #include "core/reference.h"
 #include "engine/index_cache.h"
-#include "engine/query_context.h"
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -386,10 +385,10 @@ TEST_F(RobustnessTest, InterruptedBuildReportsAlikeOnEveryPath) {
     EXPECT_TRUE(sink.paths().empty());
   }
   {
-    QueryContext ctx(g);
+    PathEnumerator pe(g);
     IndexCache cache(IndexCacheOptions{});
     CollectingSink sink;
-    runs.emplace_back("cached", ctx.RunCached(q, sink, opts, &cache));
+    runs.emplace_back("cached", pe.Run(q, sink, opts, &cache));
     EXPECT_TRUE(sink.paths().empty());
   }
   {
@@ -656,6 +655,87 @@ TEST_F(RobustnessTest, UnsatisfiableSubmitNeverWaitsForQueueRoom) {
   t2.Wait();
   EXPECT_EQ(t2.state(), QueryState::kOk);
   EXPECT_GT(c2.count(), 0u);
+}
+
+// An invalid submission passes the same gate as an unsatisfiable one: it
+// completes as kRejected at once, with the validation message, and never
+// takes the queue slot — so it neither sheds a queued ticket
+// (kCancelOldest) nor counts as a full-queue refusal (kRejectNewest).
+constexpr Query kInvalidQuery{0, 0, 3};  // s == t
+
+TEST_F(RobustnessTest, InvalidSubmitNeverShedsQueuedTicket) {
+  AsyncEngineOptions eopts;
+  eopts.num_workers = 1;
+  eopts.max_queue = 1;
+  eopts.shed_policy = AsyncEngineOptions::ShedPolicy::kCancelOldest;
+  AsyncEngine engine(PaperExampleGraph(), eopts);
+
+  GateSink gate;
+  const QueryTicket t1 = engine.Submit(PaperExampleQuery(), gate);
+  gate.WaitStarted();
+  CountingSink c2, c3;
+  const QueryTicket t2 = engine.Submit(PaperExampleQuery(), c2);  // queued
+  const QueryTicket t3 = engine.Submit(kInvalidQuery, c3);        // full
+  // Read while the worker is still held, then release it before checking,
+  // so a failure cannot leave the worker parked.
+  const bool rejected_at_once = t3.Done();
+  const uint64_t sheds = engine.stats().sheds;
+  gate.Release();
+  EXPECT_TRUE(rejected_at_once);
+  EXPECT_EQ(sheds, 0u);
+
+  t3.Wait();
+  EXPECT_EQ(t3.state(), QueryState::kRejected);
+  EXPECT_FALSE(t3.error().empty());
+  t2.Wait();
+  EXPECT_EQ(t2.state(), QueryState::kOk);
+  EXPECT_GT(c2.count(), 0u);
+  EXPECT_EQ(c3.count(), 0u);
+}
+
+TEST_F(RobustnessTest, InvalidTrySubmitOnFullQueueIsRejectedNotRefused) {
+  AsyncEngine engine(PaperExampleGraph(),
+                     {.num_workers = 1,
+                      .max_queue = 1,
+                      .shed_policy =
+                          AsyncEngineOptions::ShedPolicy::kRejectNewest});
+  GateSink gate;
+  const QueryTicket t1 = engine.Submit(PaperExampleQuery(), gate);
+  gate.WaitStarted();
+  CountingSink c2, c3;
+  const QueryTicket t2 = engine.Submit(PaperExampleQuery(), c2);  // fills q
+
+  const QueryTicket t3 = engine.TrySubmit(kInvalidQuery, c3);
+  const bool rejected_at_once = t3.valid() && t3.Done();
+  const uint64_t queue_rejects = engine.stats().queue_rejects;
+  gate.Release();
+  EXPECT_EQ(queue_rejects, 0u);
+  ASSERT_TRUE(rejected_at_once);
+  EXPECT_EQ(t3.state(), QueryState::kRejected);
+  const Status expected = CheckQuery(PaperExampleGraph(), kInvalidQuery);
+  ASSERT_FALSE(expected.ok());
+  EXPECT_EQ(t3.error(), expected.message());
+
+  t2.Wait();
+  EXPECT_EQ(t2.state(), QueryState::kOk);
+  EXPECT_EQ(c3.count(), 0u);
+}
+
+TEST_F(RobustnessTest, SplitBatchFinishesInvalidQuerySpanAsRejected) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  // Every finished span feeds the terminal-state counter; a refused split
+  // query must finish its span like a refused plain one.
+  obs::RegCounter* rejected = obs::MetricRegistry::Global().GetCounter(
+      "pathenum_query_finished_total", "state=\"Rejected\"");
+  const uint64_t before = rejected->Value();
+  const Graph g = PaperExampleGraph();
+  QueryEngine engine(g, {.num_workers = 2});
+  const std::vector<Query> queries = {PaperExampleQuery(), kInvalidQuery};
+  const BatchResult r = engine.CountBatch(queries, {.split_branches = true});
+  EXPECT_EQ(r.states[0], QueryState::kOk);
+  EXPECT_EQ(r.states[1], QueryState::kRejected);
+  EXPECT_FALSE(r.errors[1].empty());
+  EXPECT_EQ(rejected->Value() - before, 1u);
 }
 
 TEST_F(RobustnessTest, ShutdownCancelPendingCompletesQueuedAsCancelled) {

@@ -1,16 +1,20 @@
-// Engine conformance: both engines' split modes (QueryEngine::RunBatch and
-// AsyncEngine::Submit with split_branches) and their plain paths (a cached,
-// deduplicating RunBatch and plain async tickets), each with kAuto, kDfs
-// and kJoin, against the brute-force reference (core/reference.h) on small
-// sparse and dense ER, cycle-heavy and DAG graphs, for every (s, t) pair
-// and k = 1..5. Every driver runs three ways:
-//  - cold: a fresh engine, so every cache miss builds solo;
-//  - warm: the second pass over the same queries on the same engine, so
-//    index-cache hits and (plain runs, default max_result_bytes) result-
-//    cache replay serve it;
-//  - oracle: a standing live oracle attached (QueryEngine::SetLiveOracle,
-//    AsyncEngineOptions::enable_oracle), so unsatisfiable queries are shed
-//    at the engine's rejection gate.
+// Engine conformance: every execution path of a plain or split query
+// against the brute-force reference (core/reference.h) on small sparse and
+// dense ER, cycle-heavy and DAG graphs, for every (s, t) pair and k = 1..5,
+// each with kAuto, kDfs and kJoin. The paths under test:
+//  - both engines' split modes (QueryEngine::RunBatch and AsyncEngine::Submit
+//    with split_branches) and their plain paths (a deduplicating RunBatch
+//    and plain async tickets), each run four ways:
+//    - cold: a fresh engine with a cache, so every miss builds solo;
+//    - warm: the second pass over the same queries on the same engine, so
+//      index-cache hits and (plain runs, default max_result_bytes) result-
+//      cache replay serve it;
+//    - oracle: a standing live oracle attached (QueryEngine::SetLiveOracle,
+//      AsyncEngineOptions::enable_oracle), so unsatisfiable queries are shed
+//      at the scheduler's gate;
+//    - uncached (sync only): an engine built with enable_cache = false;
+//  - PathEnumerator::Run called directly, with no cache;
+//  - PathEnumerator::RunConstrained with an always-true edge filter.
 // Every schedule must reach the reference set:
 //  - unlimited runs return exactly that set;
 //  - with result_limit = 3 each run delivers exactly min(3, total)
@@ -18,6 +22,8 @@
 //    hit_result_limit / stopped_by_sink flags;
 //  - a query shed as kUnsatisfiable has an empty reference set and
 //    delivered nothing.
+// Each engine driver also gets one invalid query per graph (a target out of
+// range): it must complete as kRejected with a message and no sink call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,19 +97,29 @@ struct Outcome {
   std::string error;
 };
 
+/// Which entry point runs the queries.
+enum class Front { kSync, kAsync, kDirect, kConstrained };
+
 /// How a driver's engine is prepared before the checked pass.
-enum class Pass { kCold, kWarm, kOracle };
+enum class Pass { kCold, kWarm, kOracle, kUncached };
 
 struct Driver {
-  bool async = false;
+  Front front = Front::kSync;
   bool split = false;
   Pass pass = Pass::kCold;
 
+  bool engine() const {
+    return front == Front::kSync || front == Front::kAsync;
+  }
+
   std::string Name() const {
-    const char* pass_name = pass == Pass::kCold   ? "cold"
-                            : pass == Pass::kWarm ? "warm"
-                                                  : "oracle";
-    return std::string(async ? "async" : "sync") +
+    if (front == Front::kDirect) return "direct Run";
+    if (front == Front::kConstrained) return "direct RunConstrained";
+    const char* pass_name = pass == Pass::kCold     ? "cold"
+                            : pass == Pass::kWarm   ? "warm"
+                            : pass == Pass::kOracle ? "oracle"
+                                                    : "uncached";
+    return std::string(front == Front::kAsync ? "async" : "sync") +
            (split ? " split " : " plain ") + pass_name;
   }
 };
@@ -111,12 +127,17 @@ struct Driver {
 std::vector<Driver> Drivers() {
   std::vector<Driver> drivers;
   for (const Pass pass : {Pass::kCold, Pass::kWarm, Pass::kOracle}) {
-    for (const bool async : {false, true}) {
+    for (const Front front : {Front::kSync, Front::kAsync}) {
       for (const bool split : {true, false}) {
-        drivers.push_back({async, split, pass});
+        drivers.push_back({front, split, pass});
       }
     }
   }
+  for (const bool split : {true, false}) {
+    drivers.push_back({Front::kSync, split, Pass::kUncached});
+  }
+  drivers.push_back({Front::kDirect, false, Pass::kCold});
+  drivers.push_back({Front::kConstrained, false, Pass::kCold});
   return drivers;
 }
 
@@ -130,10 +151,9 @@ struct DriverRun {
 
 DriverRun RunSync(const Graph& g, const std::vector<Query>& queries,
                   const EnumOptions& opts, const Driver& d) {
-  // The cold split path runs uncached; every other sync path with the
-  // cache on and, for plain batches, in-batch dedup (the default).
-  const bool cached = !d.split || d.pass == Pass::kWarm;
-  QueryEngine engine(g, {.num_workers = kWorkers, .enable_cache = cached});
+  // Plain batches run with in-batch dedup (the default).
+  QueryEngine engine(g, {.num_workers = kWorkers,
+                         .enable_cache = d.pass != Pass::kUncached});
   std::unique_ptr<LiveDistanceOracle> oracle;
   if (d.pass == Pass::kOracle) {
     oracle = std::make_unique<LiveDistanceOracle>(g);
@@ -189,6 +209,30 @@ DriverRun RunAsync(const Graph& g, const std::vector<Query>& queries,
   return run;
 }
 
+/// Runs every query through one PathEnumerator on the calling thread:
+/// Run with no cache, or RunConstrained with an edge filter that admits
+/// every edge.
+DriverRun RunDirect(const Graph& g, const std::vector<Query>& queries,
+                    const EnumOptions& opts, const Driver& d) {
+  PathEnumerator pe(g);
+  const EdgeFilter admit_all = [](VertexId, VertexId, EdgeId) {
+    return true;
+  };
+  const PathConstraints constraints{.edge_filter = &admit_all};
+  DriverRun run;
+  run.outcomes.resize(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    CollectingSink sink;
+    const QueryStats stats =
+        d.front == Front::kConstrained
+            ? pe.RunConstrained(queries[i], constraints, sink, opts)
+            : pe.Run(queries[i], sink, opts);
+    run.outcomes[i] = {sink.paths(), stats, stats.counters.TerminalState(),
+                       ""};
+  }
+  return run;
+}
+
 class SplitConformanceTest : public ::testing::TestWithParam<Method> {};
 
 TEST_P(SplitConformanceTest, MatchesBruteForceOnEveryPair) {
@@ -200,6 +244,9 @@ TEST_P(SplitConformanceTest, MatchesBruteForceOnEveryPair) {
     for (const Query& q : queries) {
       expected.push_back(ToSet(BruteForcePaths(named.graph, q)));
     }
+    // The engines' batches end with one invalid query.
+    std::vector<Query> engine_queries = queries;
+    engine_queries.push_back({0, named.graph.num_vertices(), 2});
     PathEnumerator serial(named.graph);
     for (const bool limited : {false, true}) {
       EnumOptions opts;
@@ -212,10 +259,22 @@ TEST_P(SplitConformanceTest, MatchesBruteForceOnEveryPair) {
       }
       for (size_t di = 0; di < drivers.size(); ++di) {
         const Driver& d = drivers[di];
-        const DriverRun run = d.async
-                                  ? RunAsync(named.graph, queries, opts, d)
-                                  : RunSync(named.graph, queries, opts, d);
+        const DriverRun run =
+            d.front == Front::kSync
+                ? RunSync(named.graph, engine_queries, opts, d)
+            : d.front == Front::kAsync
+                ? RunAsync(named.graph, engine_queries, opts, d)
+                : RunDirect(named.graph, queries, opts, d);
         oracle_rejects[di] += run.oracle_rejects;
+        if (d.engine()) {
+          const Outcome& invalid = run.outcomes.back();
+          EXPECT_EQ(invalid.state, QueryState::kRejected)
+              << named.name << " " << d.Name() << ": invalid query";
+          EXPECT_FALSE(invalid.error.empty())
+              << named.name << " " << d.Name() << ": invalid query";
+          EXPECT_TRUE(invalid.paths.empty())
+              << named.name << " " << d.Name() << ": invalid query";
+        }
         if (d.pass == Pass::kWarm) {
           EXPECT_GT(run.cache_hits, 0u)
               << named.name << " " << d.Name() << ": no cache hit";
@@ -241,7 +300,11 @@ TEST_P(SplitConformanceTest, MatchesBruteForceOnEveryPair) {
             continue;
           }
           EXPECT_EQ(o.state, seq.TerminalState()) << where;
-          EXPECT_EQ(o.stats.method, serial_stats[i].method) << where;
+          // A constrained query runs DFS unless JOIN is forced: the cost
+          // model does not see constraint selectivity.
+          if (d.front != Front::kConstrained || opts.method != Method::kAuto) {
+            EXPECT_EQ(o.stats.method, serial_stats[i].method) << where;
+          }
           if (!limited) {
             EXPECT_EQ(got_set, expected[i]) << where;
             continue;
